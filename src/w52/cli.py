@@ -36,7 +36,8 @@ def _pentads_for(space: Space, cache: str | None, threads: int):
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with export.atomic_open(out) as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -54,30 +55,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         columns = ["id", "points", "sign", "class", "b_line"]
     else:
         pentads = _pentads_for(space, args.cache, args.threads)
-        if args.out:
-            if args.format == "json":
-                records = export.pentad_records(space, pentads)
-                obj = {
-                    "format": export.CACHE_FORMAT,
-                    "version": export.CACHE_VERSION,
-                    "generator": {"package": "w52", "points": 63, "lines": 315, "planes": 135},
-                    "records": records,
-                }
-                _write_or_print(export.render_json(obj), args.out)
-            else:
-                rows = [
-                    {
-                        "id": r["id"],
-                        "planes": r["planes"],
-                        "negative_edges": r["pentagram"]["negative_edges"],
-                        "negative_contexts": r["config"]["negative_contexts"],
-                    }
-                    for r in export.pentad_records(space, pentads)
-                ]
-                _write_or_print(
-                    export.render_csv(rows, ["id", "planes", "negative_edges", "negative_contexts"]),
-                    args.out,
-                )
+        if args.out and args.format == "json":
+            with export.atomic_open(args.out) as f:
+                export.dump_pentads(f, space, pentads)
+        elif args.out:
+            rows = export.pentad_table(space, pentads)
+            columns = ["id", "planes", "negative_edges", "negative_contexts"]
+            _write_or_print(export.render_csv(rows, columns), args.out)
         print(len(pentads))
         return EXIT_OK
     if args.out:

@@ -1,7 +1,16 @@
-"""Deterministic JSON/CSV export of the space tables and the census cache.
+"""Deterministic JSON/CSV export of the space tables and the pentad census.
 
 All output is byte-deterministic: rows follow canonical ids, JSON keys are
 emitted in a fixed order, and every file ends with a newline.
+
+The pentad census has two export forms.  The JSON document (also the
+``--cache`` file) carries both contextual sets of every pentad as Pauli
+words and is streamed to its file by :func:`dump_pentads` rather than built
+as one string.  The CSV table (:func:`pentad_table`) carries no words: one
+row per pentad with its plane ids and the negative edge and context counts.
+
+Files are written through :func:`atomic_open`, so a failed write leaves an
+existing file as it was.
 """
 
 from __future__ import annotations
@@ -9,13 +18,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .contextuality import ContextSet
 from .geometry import Space
 from .pentads import Pentad, pentad_from_planes, pentad_to_config, pentad_to_pentagram
-from .pauli import OBSERVABLES, TYPE_OF
+from .pauli import TYPE_OF, WORDS
 
 __all__ = [
     "CacheError",
@@ -23,9 +34,12 @@ __all__ = [
     "lines_table",
     "planes_table",
     "pentad_records",
+    "pentad_table",
     "render_csv",
     "render_json",
     "census_csv",
+    "atomic_open",
+    "dump_pentads",
     "write_cache",
     "load_cache",
     "load_context_file",
@@ -39,10 +53,6 @@ CACHE_VERSION = 1
 
 class CacheError(ValueError):
     """The cache file is missing, malformed, or incomplete."""
-
-
-def _word(point_id: int) -> str:
-    return OBSERVABLES[point_id - 1].word
 
 
 def _coords(point_id: int) -> str:
@@ -61,7 +71,7 @@ def points_table(space: Space, coords: bool = False) -> list[dict]:
 
 def lines_table(space: Space) -> list[dict]:
     return [
-        {"id": line.line_id, "points": [_word(p) for p in line.points], "sign": line.sign}
+        {"id": line.line_id, "points": [WORDS[p - 1] for p in line.points], "sign": line.sign}
         for line in space.lines
     ]
 
@@ -70,7 +80,7 @@ def planes_table(space: Space) -> list[dict]:
     return [
         {
             "id": plane.plane_id,
-            "points": [_word(p) for p in plane.points],
+            "points": [WORDS[p - 1] for p in plane.points],
             "sign": plane.sign,
             "class": plane.plane_class.value,
             "b_line": plane.b_line,
@@ -90,16 +100,29 @@ def pentad_records(space: Space, pentads: Sequence[Pentad]) -> list[dict]:
                 "id": pentad.pentad_id,
                 "planes": list(pentad.planes),
                 "pentagram": {
-                    "edges": [[_word(p) for p in edge] for edge in pentagram.edges],
+                    "edges": [[WORDS[p - 1] for p in edge] for edge in pentagram.edges],
                     "negative_edges": pentagram.negative_edges,
                 },
                 "config": {
-                    "contexts": [[_word(p) for p in ctx] for ctx in config.contexts],
+                    "contexts": [[WORDS[p - 1] for p in ctx] for ctx in config.contexts],
                     "negative_contexts": config.negative_contexts,
                 },
             }
         )
     return records
+
+
+def pentad_table(space: Space, pentads: Sequence[Pentad]) -> list[dict]:
+    """One CSV row per pentad: its planes and negative edge and context counts."""
+    return [
+        {
+            "id": pentad.pentad_id,
+            "planes": list(pentad.planes),
+            "negative_edges": pentad_to_pentagram(space, pentad).negative_edges,
+            "negative_contexts": pentad_to_config(space, pentad).negative_contexts,
+        }
+        for pentad in pentads
+    ]
 
 
 def render_json(obj) -> str:
@@ -157,14 +180,44 @@ def census_csv(census) -> str:
     return buf.getvalue()
 
 
-def write_cache(path: str | Path, space: Space, pentads: Sequence[Pentad]) -> None:
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file that replaces ``path`` only if the block completes.
+
+    The data goes to a new temporary file in the target directory, which
+    ``os.replace`` moves over ``path`` at the end; on any exception the
+    temporary file is removed and an existing ``path`` is left untouched.
+    """
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    try:
+        f = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name the file the caller asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
+
+
+def dump_pentads(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None:
+    """Stream the pentad census document, one record per pentad, to ``fp``."""
     obj = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
         "generator": {"package": "w52", "points": 63, "lines": 315, "planes": 135},
         "records": pentad_records(space, pentads),
     }
-    Path(path).write_text(render_json(obj), encoding="utf-8")
+    json.dump(obj, fp, indent=2, ensure_ascii=False)
+    fp.write("\n")
+
+
+def write_cache(path: str | Path, space: Space, pentads: Sequence[Pentad]) -> None:
+    with atomic_open(path) as f:
+        dump_pentads(f, space, pentads)
 
 
 def load_cache(path: str | Path, space: Space) -> tuple[Pentad, ...]:

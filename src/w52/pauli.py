@@ -13,6 +13,10 @@ Phases are tracked exactly as integer exponents of i (mod 4) via per-factor
 lookup tables.  Dense 8x8 complex matrices are available as an independent
 cross-check oracle and are not used on any enumeration path.
 
+Words are looked up in ``WORDS``, a table built once at import from the bit
+layout.  ``Observable.letters`` and the dense matrices still go through
+``PauliLetter``, so the oracle does not depend on that table.
+
 Only the three-qubit case is built and exposed; the tables are hardwired to
 three factor slots.
 """
@@ -30,6 +34,7 @@ __all__ = [
     "ObservableType",
     "Observable",
     "OBSERVABLES",
+    "WORDS",
     "from_point_id",
     "parse_observable",
     "format_observable",
@@ -122,8 +127,7 @@ class Observable:
     point_id: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.point_id, int) or not 1 <= self.point_id <= 63:
-            raise ValueError(f"point id must be an integer in 1..63, got {self.point_id!r}")
+        _check_point_id(self.point_id)
 
     @property
     def coords(self) -> tuple[int, int, int, int, int, int]:
@@ -140,7 +144,7 @@ class Observable:
 
     @property
     def word(self) -> str:
-        return "".join(letter.name for letter in self.letters)
+        return WORDS[self.point_id - 1]
 
     def __str__(self) -> str:
         return self.word
@@ -149,13 +153,18 @@ class Observable:
         return f"Observable({self.point_id}, {self.word!r})"
 
 
+def _check_point_id(point_id: object) -> None:
+    # bool is an int subclass, but True is not a point id
+    if isinstance(point_id, bool) or not isinstance(point_id, int) or not 1 <= point_id <= 63:
+        raise ValueError(f"point id must be an integer in 1..63, got {point_id!r}")
+
+
 OBSERVABLES: tuple[Observable, ...] = tuple(Observable(pid) for pid in range(1, 64))
 
 
 def from_point_id(point_id: int) -> Observable:
     """Return the interned observable with the given id in 1..63."""
-    if not isinstance(point_id, int) or not 1 <= point_id <= 63:
-        raise ValueError(f"point id must be an integer in 1..63, got {point_id!r}")
+    _check_point_id(point_id)
     return OBSERVABLES[point_id - 1]
 
 
@@ -212,6 +221,12 @@ def _build_single_phase() -> list[list[int]]:
 
 
 _SINGLE_PHASE = _build_single_phase()
+
+#: WORDS[pid - 1] is the Pauli word of point id pid, read off the bit layout
+#: through the letter codes of :func:`_slot_letters`.
+WORDS: tuple[str, ...] = tuple(
+    "".join("IXZY"[code] for code in _slot_letters(pid)) for pid in range(1, 64)
+)
 
 
 def _build_tables() -> tuple[list[list[int]], list[int], list[ObservableType | None]]:
@@ -305,9 +320,12 @@ def context_sign(observables: Sequence[Observable]) -> int:
 
     Returns +1 or -1 according as the product of the listed observables is
     plus or minus the identity.  The fold runs left to right; for valid
-    input the result is order-independent, which is asserted in debug mode.
+    input the result is order-independent, which is checked by a second,
+    reversed fold.
 
     Raises:
+        PauliError: fewer than two observables, or a sign that depends on
+            the order of the fold.
         DuplicateObservable: an observable appears more than once.
         NotMutuallyCommuting: some pair anticommutes.
         NotClosed: the product is not plus or minus the identity.
@@ -329,7 +347,8 @@ def context_sign(observables: Sequence[Observable]) -> int:
     if xor:
         raise NotClosed(f"product is {OBSERVABLES[xor - 1]}, not the identity, up to phase")
     k, _ = fold_phase(ids)
-    assert fold_phase(reversed(ids))[0] == k, "sign depends on order for commuting input"
+    if fold_phase(reversed(ids))[0] != k:
+        raise PauliError(f"sign of {[str(o) for o in observables]} depends on their order")
     return sign_from_phase(k)
 
 

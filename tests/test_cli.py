@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, deterministic output, cache."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,12 @@ import pytest
 from w52 import export
 from w52.cli import main
 from w52.taxonomy import classify_census
+
+# SHA-256 of the reference `enumerate pentads --format json|csv --out` files
+EXPORT_SHA256 = {
+    "json": "939bef33ecdef0a12c84955c1ea4f4f7a05dd81899ae6fdcf40214dd2fb4022f",
+    "csv": "58719f3250e1cc28137cd6a2a9d8661d44e76ac53fd54948c3ca6950a41d29c1",
+}
 
 CANONICAL_EDGES = [
     ["XII", "IYI", "IIY", "XYY"],
@@ -57,6 +64,14 @@ class TestEnumerate:
     def test_pentads_prints_12096(self, capsys, cache_file):
         assert main(["enumerate", "pentads", "--cache", str(cache_file)]) == 0
         assert capsys.readouterr().out == "12096\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_pentads_export_matches_reference_bytes(self, capsys, tmp_path, fmt):
+        out = tmp_path / f"pentads.{fmt}"
+        assert main(["enumerate", "pentads", "--format", fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "12096\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[fmt]
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_unknown_object_is_usage_error(self, capsys):
         assert main(["enumerate", "hexagons"]) == 2
@@ -146,6 +161,38 @@ class TestCensusPipeline:
         bad = tmp_path / "notjson.json"
         bad.write_text("{", encoding="utf-8")
         assert main(["census", "--cache", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
+
+
+class TestAtomicOut:
+    def test_failed_write_keeps_existing_file(self, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with export.atomic_open(out) as f:
+                f.write("partial")
+                raise RuntimeError("write failed")
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
+        with export.atomic_open(out) as f:
+            f.write("new\n")
+        assert out.read_text(encoding="utf-8") == "new\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_missing_directory_is_usage_error_naming_target(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "planes.csv"
+        assert main(["enumerate", "planes", "--out", str(out)]) == 2
+        assert f"No such file or directory: '{out}'" in capsys.readouterr().err
+
+    def test_failed_json_stream_keeps_existing_file(self, monkeypatch, tmp_path, space, pentads):
+        out = tmp_path / "pentads.json"
+        out.write_text("old\n", encoding="utf-8")
+        records = export.pentad_records
+        # the stream writes the first records, then fails on an object JSON cannot encode
+        monkeypatch.setattr(export, "pentad_records", lambda s, p: records(s, p) + [object()])
+        with pytest.raises(TypeError):
+            export.write_cache(out, space, pentads[:3])
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestShow:

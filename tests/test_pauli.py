@@ -21,6 +21,7 @@ from w52.pauli import (
     Observable,
     ObservableType,
     PauliError,
+    WORDS,
     commutes,
     context_sign,
     dense_matrix,
@@ -66,6 +67,12 @@ class TestParseFormat:
         for o in OBSERVABLES:
             assert parse_observable(format_observable(o)) == o
 
+    def test_words_table_matches_letters(self):
+        assert len(WORDS) == 63
+        for i, o in enumerate(OBSERVABLES):
+            assert WORDS[i] == "".join(letter.name for letter in o.letters)
+            assert parse_observable(WORDS[i]) is o
+
     def test_format_examples(self):
         assert format_observable(from_point_id(0b011110)) == "XYZ"
         assert format_observable(from_point_id(0b100000)) == "ZII"
@@ -76,9 +83,11 @@ class TestParseFormat:
             assert value == o.point_id
 
     def test_invalid_point_id(self):
-        for bad in (0, 64, -3, "XII"):
+        for bad in (0, 64, -3, "XII", True, False):
             with pytest.raises(ValueError):
                 Observable(bad)
+            with pytest.raises(ValueError):
+                from_point_id(bad)
 
 
 class TestSymplecticForm:

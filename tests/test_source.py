@@ -1,0 +1,18 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "w52").glob("*.py"))
+
+
+def test_no_assert_statements():
+    # python -O strips assert, so no check in the package may rely on one
+    assert SOURCES
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
