@@ -1,20 +1,19 @@
 """Command-line front end.
 
 Subcommands: enumerate, census, table1, laws, verify, show.  Exit codes:
-0 on success / match, 1 on verification or comparison failure, 2 on usage
-or parse errors.  All output is deterministic for fixed inputs and flags,
-regardless of --threads.
+0 on success / match, 1 on verification or comparison failure (or a
+structural violation, which signals a bug), 2 on usage or parse errors.
+All output is deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import export
 from .contextuality import Verdict, analyze, wa_symbol
-from .geometry import Space
+from .geometry import Space, TaxonomyViolation
 from .pauli import OBSERVABLES, PauliError
 from .pentads import enumerate_pentads, pentad_to_config, pentad_to_pentagram
 from .taxonomy import TypeCountMismatch, classify_census, compare_with_table1, structural_laws
@@ -22,16 +21,6 @@ from .taxonomy import TypeCountMismatch, classify_census, compare_with_table1, s
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _pentads_for(space: Space, cache: str | None, threads: int):
-    """Load pentads from the cache if present, else enumerate (and cache)."""
-    if cache and Path(cache).exists():
-        return export.load_cache(cache, space)
-    pentads = enumerate_pentads(space, workers=threads)
-    if cache:
-        export.write_cache(cache, space, pentads)
-    return pentads
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -54,7 +43,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         rows = export.planes_table(space)
         columns = ["id", "points", "sign", "class", "b_line"]
     else:
-        pentads = _pentads_for(space, args.cache, args.threads)
+        pentads = enumerate_pentads(space)
         if args.out and args.format == "json":
             with export.atomic_open(args.out) as f:
                 export.dump_pentads(f, space, pentads)
@@ -73,15 +62,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_census(args: argparse.Namespace):
+def _build_census():
     space = Space()
-    pentads = _pentads_for(space, args.cache, args.threads)
-    return space, pentads, classify_census(space, pentads)
+    return classify_census(space, enumerate_pentads(space))
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
     try:
-        _, pentads, census = _build_census(args)
+        census = _build_census()
     except TypeCountMismatch as exc:
         print(exc, file=sys.stderr)
         for record in exc.census.records:
@@ -98,7 +86,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     try:
-        _, _, census = _build_census(args)
+        census = _build_census()
     except TypeCountMismatch as exc:
         print(exc, file=sys.stderr)
         return EXIT_FAIL
@@ -109,7 +97,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_laws(args: argparse.Namespace) -> int:
     try:
-        _, _, census = _build_census(args)
+        census = _build_census()
     except TypeCountMismatch as exc:
         print(exc, file=sys.stderr)
         return EXIT_FAIL
@@ -159,7 +147,7 @@ def _render_word(point_id: int, coords: bool) -> str:
 
 def _cmd_show(args: argparse.Namespace) -> int:
     space = Space()
-    pentads = _pentads_for(space, args.cache, args.threads)
+    pentads = enumerate_pentads(space)
     if not 0 <= args.pentad < len(pentads):
         print(f"error: unknown pentad id {args.pentad}", file=sys.stderr)
         return EXIT_USAGE
@@ -201,32 +189,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cache_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--cache", metavar="PATH", help="pentad census cache (built on demand)")
-        p.add_argument(
-            "--threads", type=int, default=1, metavar="N",
-            help="worker processes for pentad enumeration (output is identical for any N)",
-        )
-
     p = sub.add_parser("enumerate", help="enumerate points, lines, planes or pentads")
     p.add_argument("object", choices=["points", "lines", "planes", "pentads"])
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--out", metavar="PATH", help="write the table here")
     p.add_argument("--coords", action="store_true", help="also show GF(2)^6 coordinates")
-    add_cache_flags(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("census", help="classify all pentad configurations and write the summary")
     p.add_argument("--out", metavar="PATH", help="summary CSV destination (default: stdout)")
-    add_cache_flags(p)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("table1", help="compare the census against the 47 reference rows")
-    add_cache_flags(p)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("laws", help="check the five structural laws over the census")
-    add_cache_flags(p)
     p.set_defaults(func=_cmd_laws)
 
     p = sub.add_parser("verify", help="verify a context file as a parity proof")
@@ -239,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as", dest="view", choices=["planes", "pentagram", "config"],
                    default="planes")
     p.add_argument("--coords", action="store_true", help="also show GF(2)^6 coordinates")
-    add_cache_flags(p)
     p.set_defaults(func=_cmd_show)
 
     return parser
@@ -254,9 +230,12 @@ def main(argv: list[str] | None = None) -> int:
         return code
     try:
         return args.func(args)
-    except (OSError, export.CacheError, PauliError) as exc:
+    except (OSError, PauliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except TaxonomyViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -3,11 +3,11 @@
 All output is byte-deterministic: rows follow canonical ids, JSON keys are
 emitted in a fixed order, and every file ends with a newline.
 
-The pentad census has two export forms.  The JSON document (also the
-``--cache`` file) carries both contextual sets of every pentad as Pauli
-words and is streamed to its file by :func:`dump_pentads` rather than built
-as one string.  The CSV table (:func:`pentad_table`) carries no words: one
-row per pentad with its plane ids and the negative edge and context counts.
+The pentad census has two export forms.  The JSON document carries both
+contextual sets of every pentad as Pauli words and is streamed to its file
+by :func:`dump_pentads` rather than built as one string.  The CSV table
+(:func:`pentad_table`) carries no words: one row per pentad with its plane
+ids and the negative edge and context counts.
 
 Files are written through :func:`atomic_open`, so a failed write leaves an
 existing file as it was.
@@ -25,11 +25,10 @@ from typing import Iterator, Sequence, TextIO
 
 from .contextuality import ContextSet
 from .geometry import Space
-from .pentads import Pentad, pentad_from_planes, pentad_to_config, pentad_to_pentagram
+from .pentads import Pentad, pentad_to_config, pentad_to_pentagram
 from .pauli import TYPE_OF, WORDS
 
 __all__ = [
-    "CacheError",
     "points_table",
     "lines_table",
     "planes_table",
@@ -40,19 +39,8 @@ __all__ = [
     "census_csv",
     "atomic_open",
     "dump_pentads",
-    "write_cache",
-    "load_cache",
     "load_context_file",
-    "CACHE_FORMAT",
-    "CACHE_VERSION",
 ]
-
-CACHE_FORMAT = "w52-pentad-census"
-CACHE_VERSION = 1
-
-
-class CacheError(ValueError):
-    """The cache file is missing, malformed, or incomplete."""
 
 
 def _coords(point_id: int) -> str:
@@ -90,7 +78,7 @@ def planes_table(space: Space) -> list[dict]:
 
 
 def pentad_records(space: Space, pentads: Sequence[Pentad]) -> list[dict]:
-    """One census-cache record per pentad, with both derived contextual sets."""
+    """One JSON export record per pentad, with both derived contextual sets."""
     records = []
     for pentad in pentads:
         pentagram = pentad_to_pentagram(space, pentad)
@@ -206,47 +194,13 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
 def dump_pentads(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None:
     """Stream the pentad census document, one record per pentad, to ``fp``."""
     obj = {
-        "format": CACHE_FORMAT,
-        "version": CACHE_VERSION,
+        "format": "w52-pentad-census",
+        "version": 1,
         "generator": {"package": "w52", "points": 63, "lines": 315, "planes": 135},
         "records": pentad_records(space, pentads),
     }
     json.dump(obj, fp, indent=2, ensure_ascii=False)
     fp.write("\n")
-
-
-def write_cache(path: str | Path, space: Space, pentads: Sequence[Pentad]) -> None:
-    with atomic_open(path) as f:
-        dump_pentads(f, space, pentads)
-
-
-def load_cache(path: str | Path, space: Space) -> tuple[Pentad, ...]:
-    """Rebuild the pentad list from a cache file.
-
-    The plane ids are the source of truth; every pentad is revalidated
-    against the space, so a tampered file fails loudly.
-    """
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CacheError(f"cannot read cache {path}: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("format") != CACHE_FORMAT:
-        raise CacheError(f"{path} is not a {CACHE_FORMAT} file")
-    if obj.get("version") != CACHE_VERSION:
-        raise CacheError(f"unsupported cache version {obj.get('version')!r}")
-    records = obj.get("records")
-    if not isinstance(records, list) or len(records) != 12096:
-        n = len(records) if isinstance(records, list) else "no"
-        raise CacheError(f"complete cache must hold 12096 records, found {n}")
-    pentads = []
-    for i, record in enumerate(records):
-        if record.get("id") != i:
-            raise CacheError(f"record {i} has id {record.get('id')!r}; cache is reordered")
-        try:
-            pentads.append(pentad_from_planes(space, record["planes"], pentad_id=i))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheError(f"record {i} is not a valid pentad: {exc}") from exc
-    return tuple(pentads)
 
 
 def load_context_file(path: str | Path) -> ContextSet:

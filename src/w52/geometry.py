@@ -50,6 +50,13 @@ __all__ = [
 _ALL_POINTS_MASK = ((1 << 64) - 1) & ~1
 
 
+def _mask_of(points: Iterable[int]) -> int:
+    m = 0
+    for p in points:
+        m |= 1 << p
+    return m
+
+
 class TaxonomyViolation(RuntimeError):
     """A structural fact of the space failed to hold; indicates a bug."""
 
@@ -82,8 +89,7 @@ class Line:
 
     @property
     def mask(self) -> int:
-        a, b, c = self.points
-        return (1 << a) | (1 << b) | (1 << c)
+        return _mask_of(self.points)
 
 
 @dataclass(frozen=True)
@@ -99,17 +105,7 @@ class Plane:
 
     @property
     def mask(self) -> int:
-        m = 0
-        for p in self.points:
-            m |= 1 << p
-        return m
-
-
-def _mask_of(points: Iterable[int]) -> int:
-    m = 0
-    for p in points:
-        m |= 1 << p
-    return m
+        return _mask_of(self.points)
 
 
 def _sign_of_points(points: Sequence[int]) -> int:

@@ -196,9 +196,6 @@ def format_observable(observable: Observable) -> str:
 # (x4,x5,x6) in positions 2..0.  All heavy enumeration works on these ints;
 # the tables below are built once at import (64 x 64 entries).
 
-_ALL_POINTS_MASK = ((1 << 64) - 1) & ~1  # bits 1..63
-
-
 def _slot_letters(pid: int) -> tuple[int, int, int]:
     """Per-factor letter codes z<<1|x: I=0, X=1, Z=2, Y=3."""
     return (

@@ -20,7 +20,6 @@ id 5-tuples, and pentad ids are the ranks in that order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -171,7 +170,7 @@ def _build_pentad(
     return Pentad(ids, tuple(meets), tuple(distinguished), pentad_id)
 
 
-def _search(space: Space, roots: Iterable[int]) -> list[Pentad]:
+def _search(space: Space) -> list[Pentad]:
     single, meet = _meet_tables(space)
     n = len(space.plane_masks)
     above = [~((1 << (j + 1)) - 1) & ((1 << n) - 1) for j in range(n)]
@@ -197,39 +196,18 @@ def _search(space: Space, roots: Iterable[int]) -> list[Pentad]:
                 else:
                     extend(chosen + [j], cand & single[j] & above[j], used | bits)
 
-    for i in roots:
+    for i in range(n):
         extend([i], single[i] & above[i], 0)
     return out
 
 
-def _worker_search(roots: list[int]) -> list[Pentad]:
-    global _WORKER_SPACE
-    if _WORKER_SPACE is None:
-        _WORKER_SPACE = Space()
-    return _search(_WORKER_SPACE, roots)
-
-
-_WORKER_SPACE: Space | None = None
-
-
-def enumerate_pentads(space: Space, workers: int = 1) -> tuple[Pentad, ...]:
+def enumerate_pentads(space: Space) -> tuple[Pentad, ...]:
     """All Fano pentads, in lexicographic order of their plane 5-tuples.
 
-    With ``workers > 1`` the search is partitioned by smallest plane id and
-    run on a process pool; the merged result is identical to the sequential
-    one, so output is deterministic regardless of worker count.
+    The search extends every plane in id order, so the pentads are found
+    in canonical order and their ids are their ranks.
     """
-    if workers <= 1:
-        found = _search(space, range(len(space.plane_masks)))
-    else:
-        n = len(space.plane_masks)
-        chunks = [list(range(start, n, workers)) for start in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_worker_search, chunks))
-        found = sorted(
-            (p for part in parts for p in part), key=lambda p: p.planes
-        )
-    return tuple(replace(p, pentad_id=i) for i, p in enumerate(found))
+    return tuple(replace(p, pentad_id=i) for i, p in enumerate(_search(space)))
 
 
 def pentad_from_planes(

@@ -1,4 +1,4 @@
-"""CLI behavior: subcommands, exit codes, deterministic output, cache."""
+"""CLI behavior: subcommands, exit codes, deterministic output, atomic writes."""
 
 import hashlib
 import json
@@ -7,7 +7,7 @@ import pytest
 
 from w52 import export
 from w52.cli import main
-from w52.taxonomy import classify_census
+from w52.geometry import TaxonomyViolation
 
 # SHA-256 of the reference `enumerate pentads --format json|csv --out` files
 EXPORT_SHA256 = {
@@ -22,13 +22,6 @@ CANONICAL_EDGES = [
     ["XII", "IXI", "IIX", "XXX"],
     ["XYY", "YXY", "YYX", "XXX"],
 ]
-
-
-@pytest.fixture(scope="session")
-def cache_file(tmp_path_factory, space, pentads):
-    path = tmp_path_factory.mktemp("cache") / "census.json"
-    export.write_cache(path, space, pentads)
-    return path
 
 
 def write_contexts(path, contexts):
@@ -61,8 +54,8 @@ class TestEnumerate:
         assert len(rows) == 63
         assert rows[29] == {"id": 30, "word": "XYZ", "type": "C", "coords": "011110"}
 
-    def test_pentads_prints_12096(self, capsys, cache_file):
-        assert main(["enumerate", "pentads", "--cache", str(cache_file)]) == 0
+    def test_pentads_prints_12096(self, capsys):
+        assert main(["enumerate", "pentads"]) == 0
         assert capsys.readouterr().out == "12096\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -76,8 +69,17 @@ class TestEnumerate:
     def test_unknown_object_is_usage_error(self, capsys):
         assert main(["enumerate", "hexagons"]) == 2
 
-    def test_unknown_flag_is_usage_error(self, capsys):
-        assert main(["enumerate", "points", "--frmt", "json"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "points", "--frmt", "json"],
+            ["census", "--cache", "x"],
+            ["census", "--threads", "2"],
+        ],
+        ids=["misspelt", "cache", "threads"],
+    )
+    def test_unknown_flag_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
 
 
 class TestVerify:
@@ -125,42 +127,35 @@ class TestVerify:
 
 
 class TestCensusPipeline:
-    def test_census_csv_matches_library(self, capsys, tmp_path, cache_file, census):
+    def test_census_csv_matches_library(self, capsys, tmp_path, census):
         out = tmp_path / "census.csv"
-        assert main(["census", "--cache", str(cache_file), "--out", str(out)]) == 0
+        assert main(["census", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == export.census_csv(census)
 
-    def test_census_header(self, capsys, cache_file):
-        assert main(["census", "--cache", str(cache_file)]) == 0
+    def test_census_header(self, capsys):
+        assert main(["census"]) == 0
         first = capsys.readouterr().out.splitlines()[0]
         assert first == "type,count,C-,O_A,O_B,O_C,F-,Fa,Fb,Fc,P_C-,P_OA,P_OB,P_OC,A_on_neg,example_pentad"
 
-    def test_table1_matches(self, capsys, cache_file):
-        assert main(["table1", "--cache", str(cache_file)]) == 0
+    def test_table1_matches(self, capsys):
+        assert main(["table1"]) == 0
         assert "matches all 47" in capsys.readouterr().out
 
-    def test_laws_hold(self, capsys, cache_file):
-        assert main(["laws", "--cache", str(cache_file)]) == 0
+    def test_laws_hold(self, capsys):
+        assert main(["laws"]) == 0
         out = capsys.readouterr().out
         assert out.count("satisfied") == 5
         assert "VIOLATED" not in out
 
-    def test_cache_round_trip_reproduces_census(self, space, cache_file, census):
-        loaded = export.load_cache(cache_file, space)
-        assert classify_census(space, loaded) == census
+    def test_structural_violation_is_an_error_not_a_traceback(self, capsys, monkeypatch):
+        def violate(space, pentads):
+            raise TaxonomyViolation("pentad 0 yields repeated contexts")
 
-    def test_cache_rejects_tampering(self, space, tmp_path, cache_file):
-        obj = json.loads(cache_file.read_text(encoding="utf-8"))
-        obj["records"] = obj["records"][:100]
-        bad = tmp_path / "truncated.json"
-        bad.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(export.CacheError):
-            export.load_cache(bad, space)
-
-    def test_cache_usage_error_exit_code(self, capsys, tmp_path):
-        bad = tmp_path / "notjson.json"
-        bad.write_text("{", encoding="utf-8")
-        assert main(["census", "--cache", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
+        monkeypatch.setattr("w52.cli.classify_census", violate)
+        assert main(["census"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pentad 0 yields repeated contexts\n"
 
 
 class TestAtomicOut:
@@ -190,31 +185,28 @@ class TestAtomicOut:
         # the stream writes the first records, then fails on an object JSON cannot encode
         monkeypatch.setattr(export, "pentad_records", lambda s, p: records(s, p) + [object()])
         with pytest.raises(TypeError):
-            export.write_cache(out, space, pentads[:3])
+            with export.atomic_open(out) as f:
+                export.dump_pentads(f, space, pentads[:3])
         assert out.read_text(encoding="utf-8") == "old\n"
         assert list(tmp_path.iterdir()) == [out]
 
 
 class TestShow:
-    def test_show_config_lists_25_observables_30_contexts(self, capsys, cache_file):
-        assert main(["show", "--pentad", "0", "--as", "config",
-                     "--cache", str(cache_file)]) == 0
+    def test_show_config_lists_25_observables_30_contexts(self, capsys):
+        assert main(["show", "--pentad", "0", "--as", "config"]) == 0
         out = capsys.readouterr().out
         assert "observables (25)" in out
         assert "contexts (30)" in out
         assert out.count("sign") == 30
 
-    def test_show_pentagram(self, capsys, cache_file):
-        assert main(["show", "--pentad", "0", "--as", "pentagram",
-                     "--cache", str(cache_file)]) == 0
+    def test_show_pentagram(self, capsys):
+        assert main(["show", "--pentad", "0", "--as", "pentagram"]) == 0
         out = capsys.readouterr().out
         assert out.count("edge ") == 5
 
-    def test_show_planes_with_coords(self, capsys, cache_file):
-        assert main(["show", "--pentad", "12095", "--as", "planes", "--coords",
-                     "--cache", str(cache_file)]) == 0
+    def test_show_planes_with_coords(self, capsys):
+        assert main(["show", "--pentad", "12095", "--as", "planes", "--coords"]) == 0
         assert "(" in capsys.readouterr().out
 
-    def test_unknown_pentad_id(self, capsys, cache_file):
-        assert main(["show", "--pentad", "12096", "--as", "config",
-                     "--cache", str(cache_file)]) == 2
+    def test_unknown_pentad_id(self, capsys):
+        assert main(["show", "--pentad", "12096", "--as", "config"]) == 2

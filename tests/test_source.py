@@ -16,3 +16,24 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_process_pool_imports():
+    # no flag or parameter can ask the package for worker processes
+    assert SOURCES
+    pools = ("concurrent", "multiprocessing")
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}:{name}"
+                for name in names
+                if name.split(".")[0] in pools
+            ]
+    assert found == []
