@@ -48,6 +48,7 @@ from .pentads import (
     Pentad,
     Pentagram,
     enumerate_pentads,
+    negative_counts,
     pentad_from_planes,
     pentad_to_config,
     pentad_to_pentagram,

@@ -7,7 +7,8 @@ The pentad census has two export forms.  The JSON document carries both
 contextual sets of every pentad as Pauli words and is streamed to its file
 by :func:`dump_pentads` rather than built as one string.  The CSV table
 (:func:`pentad_table`) carries no words: one row per pentad with its plane
-ids and the negative edge and context counts.
+ids and the negative edge and context counts, read from per-plane tables
+by :func:`~w52.pentads.negative_counts` without building either set.
 
 Files are written through :func:`atomic_open`, so a failed write leaves an
 existing file as it was.
@@ -25,7 +26,7 @@ from typing import Iterator, Sequence, TextIO
 
 from .contextuality import ContextSet
 from .geometry import Space
-from .pentads import Pentad, pentad_to_config, pentad_to_pentagram
+from .pentads import Pentad, negative_counts, pentad_to_config, pentad_to_pentagram
 from .pauli import TYPE_OF, WORDS
 
 __all__ = [
@@ -102,15 +103,18 @@ def pentad_records(space: Space, pentads: Sequence[Pentad]) -> list[dict]:
 
 def pentad_table(space: Space, pentads: Sequence[Pentad]) -> list[dict]:
     """One CSV row per pentad: its planes and negative edge and context counts."""
-    return [
-        {
-            "id": pentad.pentad_id,
-            "planes": list(pentad.planes),
-            "negative_edges": pentad_to_pentagram(space, pentad).negative_edges,
-            "negative_contexts": pentad_to_config(space, pentad).negative_contexts,
-        }
-        for pentad in pentads
-    ]
+    rows = []
+    for pentad in pentads:
+        negative_edges, negative_contexts = negative_counts(space, pentad)
+        rows.append(
+            {
+                "id": pentad.pentad_id,
+                "planes": list(pentad.planes),
+                "negative_edges": negative_edges,
+                "negative_contexts": negative_contexts,
+            }
+        )
+    return rows
 
 
 def render_json(obj) -> str:

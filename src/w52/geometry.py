@@ -57,6 +57,16 @@ def _mask_of(points: Iterable[int]) -> int:
     return m
 
 
+def _mask_points(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask in increasing order; inverts :func:`_mask_of`."""
+    pts = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        pts.append(low.bit_length() - 1)
+    return tuple(pts)
+
+
 class TaxonomyViolation(RuntimeError):
     """A structural fact of the space failed to hold; indicates a bug."""
 
@@ -145,10 +155,7 @@ def enumerate_planes(lines: Sequence[Line]) -> tuple[Plane, ...]:
     for line in lines:
         a, b, c = line.points
         cand = COMMUTE_MASK[a] & COMMUTE_MASK[b] & ~line.mask & _ALL_POINTS_MASK
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            d = low.bit_length() - 1
+        for d in _mask_points(cand):
             pts = (a, b, c, d, a ^ d, b ^ d, c ^ d)
             mask = _mask_of(pts)
             if mask not in seen:
@@ -259,6 +266,19 @@ class Space:
         self.planes = enumerate_planes(self.lines)
         self.line_masks = tuple(line.mask for line in self.lines)
         self.plane_masks = tuple(plane.mask for plane in self.planes)
+        # tables that let census signatures skip the derived contextual sets
+        #: number of negative lines in each plane
+        self.plane_negative_lines = tuple(
+            sum(1 for lid in plane.lines if self.lines[lid].sign < 0) for plane in self.planes
+        )
+        #: each plane's class as its position in PlaneClass: negative, a, b, c
+        self.plane_class_index = tuple(
+            list(PlaneClass).index(plane.plane_class) for plane in self.planes
+        )
+        #: point masks of the type-A, type-B and type-C observables
+        self.type_masks = tuple(
+            _mask_of(p for p in range(1, 64) if TYPE_OF[p] is t) for t in ObservableType
+        )
         self._line_id_by_mask = {m: i for i, m in enumerate(self.line_masks)}
         self._plane_id_by_mask = {m: i for i, m in enumerate(self.plane_masks)}
         lines_by_point: list[list[int]] = [[] for _ in range(64)]

@@ -11,7 +11,8 @@ on observables, and XOR of ids is multiplication up to phase.
 
 Phases are tracked exactly as integer exponents of i (mod 4) via per-factor
 lookup tables.  Dense 8x8 complex matrices are available as an independent
-cross-check oracle and are not used on any enumeration path.
+cross-check oracle and are not used on any enumeration path; numpy is
+imported only when one is built.
 
 Words are looked up in ``WORDS``, a table built once at import from the bit
 layout.  ``Observable.letters`` and the dense matrices still go through
@@ -25,9 +26,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PauliLetter",
@@ -349,15 +351,16 @@ def context_sign(observables: Sequence[Observable]) -> int:
     return sign_from_phase(k)
 
 
-_DENSE_LETTER = {
-    PauliLetter.I: np.array([[1, 0], [0, 1]], dtype=complex),
-    PauliLetter.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    PauliLetter.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    PauliLetter.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def dense_matrix(observable: Observable) -> np.ndarray:
     """The 8x8 matrix G1 (x) G2 (x) G3; the independent cross-check oracle."""
-    g1, g2, g3 = observable.letters
-    return np.kron(np.kron(_DENSE_LETTER[g1], _DENSE_LETTER[g2]), _DENSE_LETTER[g3])
+    # imported here so that only the oracle, never a w52 command, loads numpy
+    import numpy as np
+
+    letters = {
+        PauliLetter.I: np.array([[1, 0], [0, 1]], dtype=complex),
+        PauliLetter.X: np.array([[0, 1], [1, 0]], dtype=complex),
+        PauliLetter.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
+        PauliLetter.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+    g1, g2, g3 = (letters[g] for g in observable.letters)
+    return np.kron(np.kron(g1, g2), g3)

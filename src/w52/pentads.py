@@ -11,19 +11,27 @@ the four shared points are the complement of one of its lines (the
   (25 after identification) and take the 6 non-distinguished lines of each
   plane as contexts.
 
-Enumeration is an ordered depth-first clique search on the 135 planes,
+Enumeration is an ordered clique search of depth four on the 135 planes,
 restricted to pairs meeting in exactly one point, pruning as soon as a meet
-point repeats; the affine-complement condition is tested on completed
-5-sets.  The canonical output order is lexicographic on the sorted plane
-id 5-tuples, and pentad ids are the ranks in that order.
+point repeats.  The fifth plane is forced: the affine-complement condition
+fixes each chosen plane's fourth shared point as the XOR of its three
+meets, and the fifth plane is looked up as the closure of those points.
+Every found 5-set still passes the full pentad check.  The canonical output
+order is lexicographic on the sorted plane id 5-tuples, and pentad ids are
+the ranks in that order.
+
+The two derived sets are views for display, export and verification; the
+census reads its counts from per-plane tables instead
+(:func:`negative_counts`), and the tests derive both sets for every
+pentad, so the checks inside the derivations still cover the whole census.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .geometry import Space, TaxonomyViolation
+from .geometry import Space, TaxonomyViolation, _mask_of, _mask_points
 from .pauli import (
     Observable,
     fold_phase,
@@ -38,7 +46,9 @@ __all__ = [
     "ContextualConfig",
     "NotAPentagram",
     "ClosureNotIsotropicPlane",
+    "edge_is_negative",
     "enumerate_pentads",
+    "negative_counts",
     "pentad_from_planes",
     "pentad_to_pentagram",
     "pentad_to_config",
@@ -150,20 +160,19 @@ def _build_pentad(
         return None
     masks = [space.plane_masks[p] for p in ids]
     meets = []
+    shared = [0] * 5
     seen = 0
     for i, j in _PAIRS:
         inter = masks[i] & masks[j]
         if inter.bit_count() != 1 or seen & inter:
             return None
         seen |= inter
+        shared[i] |= inter
+        shared[j] |= inter
         meets.append(inter.bit_length() - 1)
     distinguished = []
-    for pos in range(5):
-        shared = 0
-        for (i, j), m in zip(_PAIRS, meets):
-            if pos in (i, j):
-                shared |= 1 << m
-        line_id = space._line_id_by_mask.get(masks[pos] ^ shared)
+    for mask, part in zip(masks, shared):
+        line_id = space._line_id_by_mask.get(mask ^ part)
         if line_id is None:
             return None
         distinguished.append(line_id)
@@ -171,43 +180,55 @@ def _build_pentad(
 
 
 def _search(space: Space) -> list[Pentad]:
+    """All pentads in canonical order, by a depth-4 search with a forced fifth plane.
+
+    Planes a < b < c < d must meet pairwise in six distinct single points.
+    Each of them then needs its fourth shared point to be the XOR of its
+    three meets, since four points of a Fano plane are the complement of a
+    line exactly when their XOR is 0; the fifth plane is the closure of
+    those points.  It is looked up, not searched, and kept only if its id
+    exceeds d, so every pentad is found once, from its four lowest planes,
+    in lexicographic order.  :func:`_build_pentad` checks the result in full.
+    """
     single, meet = _meet_tables(space)
     n = len(space.plane_masks)
-    above = [~((1 << (j + 1)) - 1) & ((1 << n) - 1) for j in range(n)]
+    above = [single[i] & ~((1 << (i + 1)) - 1) for i in range(n)]
+    plane_id_by_mask = space._plane_id_by_mask
     out: list[Pentad] = []
-
-    def extend(chosen: list[int], cand: int, used: int) -> None:
-        depth = len(chosen)
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            j = low.bit_length() - 1
-            bits = 0
-            for c in chosen:
-                b = 1 << meet[c][j]
-                if (used | bits) & b:
-                    break
-                bits |= b
-            else:
-                if depth == 4:
-                    pentad = _build_pentad(space, chosen + [j])
-                    if pentad is not None:
-                        out.append(pentad)
-                else:
-                    extend(chosen + [j], cand & single[j] & above[j], used | bits)
-
-    for i in range(n):
-        extend([i], single[i] & above[i], 0)
+    for a in range(n):
+        meet_a = meet[a]
+        for b in _mask_points(above[a]):
+            meet_b = meet[b]
+            ab = meet_a[b]
+            for c in _mask_points(above[a] & above[b]):
+                ac, bc = meet_a[c], meet_b[c]
+                if ac == ab or bc == ab or bc == ac:
+                    continue
+                meet_c = meet[c]
+                used = (1 << ab) | (1 << ac) | (1 << bc)
+                for d in _mask_points(above[a] & above[b] & above[c]):
+                    ad, bd, cd = meet_a[d], meet_b[d], meet_c[d]
+                    bits = (1 << ad) | (1 << bd) | (1 << cd)
+                    if used & bits or bits.bit_count() != 3:
+                        continue
+                    # the fourth shared points of a, b and c lie on the fifth plane
+                    pa, pb, pc = ab ^ ac ^ ad, ab ^ bc ^ bd, ac ^ bc ^ cd
+                    closure = _mask_of((pa, pb, pc, pa ^ pb, pa ^ pc, pb ^ pc, pa ^ pb ^ pc))
+                    e = plane_id_by_mask.get(closure)
+                    if e is not None and e > d:
+                        pentad = _build_pentad(space, (a, b, c, d, e), len(out))
+                        if pentad is not None:
+                            out.append(pentad)
     return out
 
 
 def enumerate_pentads(space: Space) -> tuple[Pentad, ...]:
     """All Fano pentads, in lexicographic order of their plane 5-tuples.
 
-    The search extends every plane in id order, so the pentads are found
-    in canonical order and their ids are their ranks.
+    The search finds the pentads in canonical order and numbers them as it
+    goes, so their ids are their ranks.
     """
-    return tuple(replace(p, pentad_id=i) for i, p in enumerate(_search(space)))
+    return tuple(_search(space))
 
 
 def pentad_from_planes(
@@ -222,6 +243,32 @@ def pentad_from_planes(
 
 # ---------------------------------------------------------------------------
 # derived contextual sets
+
+
+def edge_is_negative(space: Space, plane_id: int, line_id: int) -> bool:
+    """Whether the plane's points off the line multiply to minus the identity.
+
+    The plane's product is the line's times that affine quadruple's, so the
+    quadruple's sign is the plane sign times the line sign.
+    """
+    return (space.planes[plane_id].sign < 0) != (space.lines[line_id].sign < 0)
+
+
+def negative_counts(space: Space, pentad: Pentad) -> tuple[int, int]:
+    """The pentagram's negative edges and the configuration's negative contexts.
+
+    Equal to ``(pentad_to_pentagram(...).negative_edges,
+    pentad_to_config(...).negative_contexts)``, read from per-plane tables
+    without building either set: each plane contributes its negative lines
+    except the distinguished one, and one edge whose sign is given by
+    :func:`edge_is_negative`.
+    """
+    edges = contexts = 0
+    for plane_id, line_id in zip(pentad.planes, pentad.distinguished_lines):
+        line_negative = space.lines[line_id].sign < 0
+        contexts += space.plane_negative_lines[plane_id] - line_negative
+        edges += edge_is_negative(space, plane_id, line_id)
+    return edges, contexts
 
 
 def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
@@ -271,15 +318,6 @@ def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
     signs = tuple(space.lines[lid].sign for lid in line_ids)
     _check_config_profile(pentad, observables, contexts, signs)
     return ContextualConfig(observables, contexts, signs)
-
-
-def _mask_points(mask: int) -> tuple[int, ...]:
-    pts = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        pts.append(low.bit_length() - 1)
-    return tuple(pts)
 
 
 def _check_config_profile(

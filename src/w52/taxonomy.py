@@ -5,8 +5,9 @@ contexts, the A/B/C distribution of its 25 observables, the class
 partition of its five planes, plus the signature of the pentagram living
 in the same pentad (negative edges, A/B/C distribution of the ten
 pentagram observables, and how many of its type-A observables touch a
-negative edge).  Grouping the 12,096 signatures yields exactly 47 types in
-eight families keyed by negative-context count.
+negative edge).  Signatures are read from per-plane tables of the space
+without deriving either contextual set.  Grouping the 12,096 signatures
+yields exactly 47 types in eight families keyed by negative-context count.
 
 Census ordinals are assigned by a canonical sort of the signatures and are
 not claimed to match the reference table's numbering; agreement with the
@@ -20,15 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .geometry import PlaneClass, Space
-from .pauli import TYPE_OF, ObservableType
-from .pentads import (
-    ContextualConfig,
-    Pentad,
-    Pentagram,
-    pentad_to_config,
-    pentad_to_pentagram,
-)
+from .geometry import Space, _mask_of
+from .pentads import Pentad, edge_is_negative, negative_counts
 
 __all__ = [
     "PentagramSignature",
@@ -158,46 +152,41 @@ class TypeCountMismatch(RuntimeError):
         self.census = census
 
 
-def config_signature(
-    space: Space,
-    pentad: Pentad,
-    pentagram: Pentagram | None = None,
-    config: ContextualConfig | None = None,
-) -> ConfigSignature:
-    """Compute the full signature of one pentad; derived objects may be
-    passed in to avoid recomputation."""
-    if pentagram is None:
-        pentagram = pentad_to_pentagram(space, pentad)
-    if config is None:
-        config = pentad_to_config(space, pentad)
+def config_signature(space: Space, pentad: Pentad) -> ConfigSignature:
+    """Compute the full signature of one pentad from per-plane tables.
 
-    obs_types = Counter(TYPE_OF[p] for p in config.observables)
-    plane_classes = Counter(space.planes[pid].plane_class for pid in pentad.planes)
-
-    pent_types = Counter(TYPE_OF[p] for p in pentagram.observables)
-    on_negative: set[int] = set()
-    for edge, sign in zip(pentagram.edges, pentagram.edge_signs):
-        if sign < 0:
-            on_negative.update(edge)
-    a_on_negative = sum(
-        1 for p in pentagram.observables if TYPE_OF[p] is ObservableType.A and p in on_negative
-    )
+    Neither contextual set is built.  The 25 configuration observables are
+    the union of the five plane masks and the ten pentagram observables the
+    meet points, so the A/B/C counts are popcounts of those masks against
+    ``space.type_masks``; the negative counts come from
+    :func:`~w52.pentads.negative_counts`, and a type-A meet point touches a
+    negative edge when it lies in the shared points of a plane whose edge
+    is negative.
+    """
+    negative_edges, negative_contexts = negative_counts(space, pentad)
+    plane_classes = [0, 0, 0, 0]  # negative, a, b, c
+    union = on_negative = 0
+    for plane_id, line_id in zip(pentad.planes, pentad.distinguished_lines):
+        plane_classes[space.plane_class_index[plane_id]] += 1
+        plane_mask = space.plane_masks[plane_id]
+        union |= plane_mask
+        if edge_is_negative(space, plane_id, line_id):
+            on_negative |= plane_mask ^ space.line_masks[line_id]
+    meets = _mask_of(pentad.meet_points)
+    type_a, type_b, type_c = space.type_masks
     pent_sig = PentagramSignature(
-        pentagram.negative_edges,
-        pent_types[ObservableType.A],
-        pent_types[ObservableType.B],
-        pent_types[ObservableType.C],
-        a_on_negative,
+        negative_edges,
+        (meets & type_a).bit_count(),
+        (meets & type_b).bit_count(),
+        (meets & type_c).bit_count(),
+        (meets & type_a & on_negative).bit_count(),
     )
     return ConfigSignature(
-        config.negative_contexts,
-        obs_types[ObservableType.A],
-        obs_types[ObservableType.B],
-        obs_types[ObservableType.C],
-        plane_classes[PlaneClass.NEGATIVE],
-        plane_classes[PlaneClass.POS_A],
-        plane_classes[PlaneClass.POS_B],
-        plane_classes[PlaneClass.POS_C],
+        negative_contexts,
+        (union & type_a).bit_count(),
+        (union & type_b).bit_count(),
+        (union & type_c).bit_count(),
+        *plane_classes,
         pent_sig,
     )
 

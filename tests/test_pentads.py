@@ -1,6 +1,7 @@
 """Pentad enumeration and the pentagram / configuration derivations."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,8 @@ from w52.pentads import (
     pentad_to_pentagram,
     pentagram_from_edges,
     pentagram_to_pentad,
+    _build_pentad,
+    _meet_tables,
 )
 
 from conftest import dense_sign
@@ -26,6 +29,39 @@ CANONICAL_EDGES = [
     ["XII", "IXI", "IIX", "XXX"],
     ["XYY", "YXY", "YYX", "XXX"],
 ]
+
+
+def depth5_search(space):
+    """Reference: ordered clique search over all five planes, pruning on repeated
+    meets; every completed 5-set goes to the full pentad check."""
+    single, meet = _meet_tables(space)
+    n = len(space.plane_masks)
+    above = [~((1 << (j + 1)) - 1) & ((1 << n) - 1) for j in range(n)]
+    out = []
+
+    def extend(chosen, cand, used):
+        depth = len(chosen)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            bits = 0
+            for c in chosen:
+                b = 1 << meet[c][j]
+                if (used | bits) & b:
+                    break
+                bits |= b
+            else:
+                if depth == 4:
+                    pentad = _build_pentad(space, chosen + [j], len(out))
+                    if pentad is not None:
+                        out.append(pentad)
+                else:
+                    extend(chosen + [j], cand & single[j] & above[j], used | bits)
+
+    for i in range(n):
+        extend([i], single[i] & above[i], 0)
+    return tuple(out)
 
 
 class TestEnumeration:
@@ -58,6 +94,21 @@ class TestEnumeration:
 
     def test_rerun_is_identical(self, space, pentads):
         assert enumerate_pentads(space) == pentads
+
+    def test_matches_the_depth5_reference_search(self, space, pentads):
+        reference = depth5_search(space)
+        assert reference == pentads
+        assert [p.pentad_id for p in reference] == [p.pentad_id for p in pentads]
+
+    def test_every_plane_in_448_pentads(self, pentads):
+        counts = Counter(plane for p in pentads for plane in p.planes)
+        assert len(counts) == 135
+        assert set(counts.values()) == {448}
+
+    def test_every_point_a_meet_of_1920_pentads(self, pentads):
+        counts = Counter(m for p in pentads for m in p.meet_points)
+        assert sorted(counts) == list(range(1, 64))
+        assert set(counts.values()) == {1920}
 
     def test_pentad_from_planes_round_trip(self, space, pentads):
         sample = pentads[4321]

@@ -1,9 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "w52").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "w52").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -37,3 +41,21 @@ def test_no_process_pool_imports():
                 if name.split(".")[0] in pools
             ]
     assert found == []
+
+
+def test_census_command_does_not_import_numpy(tmp_path):
+    # numpy serves only the dense test oracle; every w52 process would pay its import
+    code = (
+        "import sys; from w52.cli import main; "
+        f"code = main(['census', '--out', {str(tmp_path / 'census.csv')!r}]); "
+        "print('numpy' in sys.modules); sys.exit(code)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

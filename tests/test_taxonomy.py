@@ -4,8 +4,13 @@ from collections import Counter
 
 import pytest
 
+from w52.geometry import PlaneClass
+from w52.pauli import TYPE_OF, ObservableType
+from w52.pentads import negative_counts
 from w52.taxonomy import (
     Census,
+    ConfigSignature,
+    PentagramSignature,
     TypeCountMismatch,
     classify_census,
     compare_with_table1,
@@ -52,7 +57,49 @@ class TestTable1Fixture:
             assert _row_violations(row.table_row) == []
 
 
+def object_signature(space, pentad, pentagram, config):
+    """Reference: the signature read off the derived pentagram and configuration."""
+    obs_types = Counter(TYPE_OF[p] for p in config.observables)
+    plane_classes = Counter(space.planes[pid].plane_class for pid in pentad.planes)
+    pent_types = Counter(TYPE_OF[p] for p in pentagram.observables)
+    on_negative = set()
+    for edge, sign in zip(pentagram.edges, pentagram.edge_signs):
+        if sign < 0:
+            on_negative.update(edge)
+    a_on_negative = sum(
+        1 for p in pentagram.observables if TYPE_OF[p] is ObservableType.A and p in on_negative
+    )
+    pent_sig = PentagramSignature(
+        pentagram.negative_edges,
+        pent_types[ObservableType.A],
+        pent_types[ObservableType.B],
+        pent_types[ObservableType.C],
+        a_on_negative,
+    )
+    return ConfigSignature(
+        config.negative_contexts,
+        obs_types[ObservableType.A],
+        obs_types[ObservableType.B],
+        obs_types[ObservableType.C],
+        plane_classes[PlaneClass.NEGATIVE],
+        plane_classes[PlaneClass.POS_A],
+        plane_classes[PlaneClass.POS_B],
+        plane_classes[PlaneClass.POS_C],
+        pent_sig,
+    )
+
+
 class TestSignatures:
+    def test_tables_match_derived_sets_for_every_pentad(self, space, pentads, pentagrams, configs):
+        for pentad, pentagram, config in zip(pentads, pentagrams, configs):
+            assert config_signature(space, pentad) == object_signature(
+                space, pentad, pentagram, config
+            )
+            assert negative_counts(space, pentad) == (
+                pentagram.negative_edges,
+                config.negative_contexts,
+            )
+
     def test_partition_identities(self, space, pentads):
         for pentad in pentads[::1000]:
             sig = config_signature(space, pentad)
