@@ -4,8 +4,9 @@ All output is byte-deterministic: rows follow canonical ids, JSON keys are
 emitted in a fixed order, and every file ends with a newline.
 
 The pentad census has two export forms.  The JSON document carries both
-contextual sets of every pentad as Pauli words and is streamed to its file
-by :func:`dump_pentads` rather than built as one string.  The CSV table
+contextual sets of every pentad as Pauli words; :func:`dump_pentads`
+streams it, joining each record from JSON text pre-rendered for every line
+and every affine quadruple of a plane.  The CSV table
 (:func:`pentad_table`) carries no words: one row per pentad with its plane
 ids and the negative edge and context counts, read from per-plane tables
 by :func:`~w52.pentads.negative_counts` without building either set.
@@ -33,7 +34,6 @@ __all__ = [
     "points_table",
     "lines_table",
     "planes_table",
-    "pentad_records",
     "pentad_table",
     "render_csv",
     "render_json",
@@ -76,29 +76,6 @@ def planes_table(space: Space) -> list[dict]:
         }
         for plane in space.planes
     ]
-
-
-def pentad_records(space: Space, pentads: Sequence[Pentad]) -> list[dict]:
-    """One JSON export record per pentad, with both derived contextual sets."""
-    records = []
-    for pentad in pentads:
-        pentagram = pentad_to_pentagram(space, pentad)
-        config = pentad_to_config(space, pentad)
-        records.append(
-            {
-                "id": pentad.pentad_id,
-                "planes": list(pentad.planes),
-                "pentagram": {
-                    "edges": [[WORDS[p - 1] for p in edge] for edge in pentagram.edges],
-                    "negative_edges": pentagram.negative_edges,
-                },
-                "config": {
-                    "contexts": [[WORDS[p - 1] for p in ctx] for ctx in config.contexts],
-                    "negative_contexts": config.negative_contexts,
-                },
-            }
-        )
-    return records
 
 
 def pentad_table(space: Space, pentads: Sequence[Pentad]) -> list[dict]:
@@ -189,22 +166,62 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
     try:
         with f:
             yield f
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         tmp.unlink()
         raise
 
 
 def dump_pentads(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None:
-    """Stream the pentad census document, one record per pentad, to ``fp``."""
-    obj = {
+    """Stream the pentad census document, one record per pentad, to ``fp``.
+
+    Writes what ``json.dump(document, fp, indent=2, ensure_ascii=False)``
+    and a newline would.  Each record joins word arrays rendered once per
+    call; its pentagram and configuration are derived, with all their checks,
+    for the order of its edges and contexts and for its negative counts.
+    """
+    header = {
         "format": "w52-pentad-census",
         "version": 1,
         "generator": {"package": "w52", "points": 63, "lines": 315, "planes": 135},
-        "records": pentad_records(space, pentads),
+        "records": [],
     }
-    json.dump(obj, fp, indent=2, ensure_ascii=False)
-    fp.write("\n")
+    head, tail = json.dumps(header, indent=2, ensure_ascii=False).rsplit("[]", 1)
+
+    # each line triple and each affine quadruple (a plane less one of its
+    # lines) as a word array indented as an item of "edges" or "contexts"
+    arrays = [line.points for line in space.lines] + [
+        tuple(p for p in plane.points if p not in space.lines[lid].points)
+        for plane in space.planes
+        for lid in plane.lines
+    ]
+    indent = "\n" + " " * 10
+    fragment = {
+        points: json.dumps([WORDS[p - 1] for p in points], indent=2).replace("\n", indent)
+        for points in arrays
+    }
+    item = "," + indent
+    fp.write(f"{head}[")
+    sep = "\n    "
+    for pentad in pentads:
+        pentagram = pentad_to_pentagram(space, pentad)
+        config = pentad_to_config(space, pentad)
+        planes = ",\n        ".join(map(str, pentad.planes))
+        edges = item.join([fragment[quad] for quad in pentagram.edges])
+        contexts = item.join([fragment[line] for line in config.contexts])
+        fp.write(
+            f'{sep}{{\n      "id": {json.dumps(pentad.pentad_id)},\n'
+            f'      "planes": [\n        {planes}\n      ],\n'
+            f'      "pentagram": {{\n        "edges": [\n          {edges}\n        ],\n'
+            f'        "negative_edges": {pentagram.negative_edges}\n      }},\n'
+            f'      "config": {{\n        "contexts": [\n          {contexts}\n        ],\n'
+            f'        "negative_contexts": {config.negative_contexts}\n      }}\n    }}'
+        )
+        sep = ",\n    "
+    fp.write(("\n  ]" if pentads else "]") + tail + "\n")
 
 
 def load_context_file(path: str | Path) -> ContextSet:
@@ -213,4 +230,6 @@ def load_context_file(path: str | Path) -> ContextSet:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path} is not valid JSON: nested too deeply") from None
     return ContextSet.from_json_obj(obj)

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, deterministic output, atomic writes."""
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -111,6 +112,14 @@ class TestVerify:
     def test_missing_file(self, capsys, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
+    def test_deeply_nested_file_is_a_parse_error(self, capsys, tmp_path):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 200000, encoding="utf-8")
+        assert main(["verify", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f} is not valid JSON")
+        assert "Traceback" not in err
+
     def test_non_commuting_context_diagnosed(self, capsys, tmp_path):
         f = write_contexts(tmp_path / "anti.json", [["XII", "YII", "ZII"]])
         assert main(["verify", str(f)]) == 1
@@ -178,15 +187,34 @@ class TestAtomicOut:
         assert main(["enumerate", "planes", "--out", str(out)]) == 2
         assert f"No such file or directory: '{out}'" in capsys.readouterr().err
 
+    def test_directory_target_is_usage_error_naming_target(self, capsys, tmp_path):
+        out = tmp_path / "planes.csv"
+        out.mkdir()
+        assert main(["enumerate", "planes", "--out", str(out)]) == 2
+        assert f"Is a directory: '{out}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_failed_json_stream_keeps_existing_file(self, monkeypatch, tmp_path, space, pentads):
         out = tmp_path / "pentads.json"
         out.write_text("old\n", encoding="utf-8")
-        records = export.pentad_records
-        # the stream writes the first records, then fails on an object JSON cannot encode
-        monkeypatch.setattr(export, "pentad_records", lambda s, p: records(s, p) + [object()])
-        with pytest.raises(TypeError):
+        two = io.StringIO()
+        export.dump_pentads(two, space, pentads[:2])
+        derive = export.pentad_to_config
+        seen, written = [], []
+
+        def fail_on_third(space, pentad):
+            seen.append(pentad)
+            if len(seen) == 3:
+                written.append(f.tell())
+                raise TaxonomyViolation("derivation failed")
+            return derive(space, pentad)
+
+        # the stream writes the first two records, then fails deriving the third
+        monkeypatch.setattr(export, "pentad_to_config", fail_on_third)
+        with pytest.raises(TaxonomyViolation):
             with export.atomic_open(out) as f:
-                export.dump_pentads(f, space, pentads[:3])
+                export.dump_pentads(f, space, pentads[:5])
+        assert written == [len(two.getvalue()) - len("\n  ]\n}\n")]
         assert out.read_text(encoding="utf-8") == "old\n"
         assert list(tmp_path.iterdir()) == [out]
 
