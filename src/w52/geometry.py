@@ -47,9 +47,6 @@ __all__ = [
     "classify_plane",
 ]
 
-_ALL_POINTS_MASK = ((1 << 64) - 1) & ~1
-
-
 def _mask_of(points: Iterable[int]) -> int:
     m = 0
     for p in points:
@@ -154,7 +151,8 @@ def enumerate_planes(lines: Sequence[Line]) -> tuple[Plane, ...]:
     seen: dict[int, tuple[int, ...]] = {}
     for line in lines:
         a, b, c = line.points
-        cand = COMMUTE_MASK[a] & COMMUTE_MASK[b] & ~line.mask & _ALL_POINTS_MASK
+        # bit 0 is the identity, which commutes with everything
+        cand = COMMUTE_MASK[a] & COMMUTE_MASK[b] & ~(line.mask | 1)
         for d in _mask_points(cand):
             pts = (a, b, c, d, a ^ d, b ^ d, c ^ d)
             mask = _mask_of(pts)

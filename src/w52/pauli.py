@@ -172,7 +172,9 @@ def from_point_id(point_id: int) -> Observable:
 
 def parse_observable(word: str) -> Observable:
     """Parse a 3-letter Pauli word (uppercase, alphabet IXYZ) into an Observable."""
-    if not isinstance(word, str) or len(word) != 3:
+    if not isinstance(word, str):
+        raise BadLength(f"Pauli word must be a string, got {type(word).__name__} {word!r}")
+    if len(word) != 3:
         raise BadLength(f"Pauli word must be exactly 3 characters, got {word!r}")
     pid = 0
     for j, ch in enumerate(word):

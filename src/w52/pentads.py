@@ -11,19 +11,20 @@ the four shared points are the complement of one of its lines (the
   (25 after identification) and take the 6 non-distinguished lines of each
   plane as contexts.
 
-Enumeration is an ordered clique search of depth four on the 135 planes,
-restricted to pairs meeting in exactly one point, pruning as soon as a meet
-point repeats.  The fifth plane is forced: the affine-complement condition
-fixes each chosen plane's fourth shared point as the XOR of its three
-meets, and the fifth plane is looked up as the closure of those points.
-Every found 5-set still passes the full pentad check.  The canonical output
-order is lexicographic on the sorted plane id 5-tuples, and pentad ids are
-the ranks in that order.
+Enumeration finds every pentad once, from its lowest plane: the planes
+meeting it at the first three points off its distinguished line are picked
+among the planes above it that meet it there alone, and the fifth plane is
+forced, as the closure of their fourth shared points (four points of a Fano
+plane are the complement of a line exactly when their XOR is 0).  Every
+found 5-set still passes the full pentad check.  The canonical output order
+is lexicographic on the sorted plane id 5-tuples, and pentad ids are the
+ranks in that order.
 
 The two derived sets are views for display, export and verification; the
-census reads its counts from per-plane tables instead
-(:func:`negative_counts`), and the tests derive both sets for every
-pentad, so the checks inside the derivations still cover the whole census.
+census and the pentad CSV read their counts from per-plane tables instead
+(:func:`negative_counts`, and the census's packed table), and the tests
+derive both sets for every pentad, so the checks inside the derivations
+still cover the whole census.
 """
 
 from __future__ import annotations
@@ -180,53 +181,58 @@ def _build_pentad(
 
 
 def _search(space: Space) -> list[Pentad]:
-    """All pentads in canonical order, by a depth-4 search with a forced fifth plane.
+    """All pentads in canonical order, each found once from its lowest plane.
 
-    Planes a < b < c < d must meet pairwise in six distinct single points.
-    Each of them then needs its fourth shared point to be the XOR of its
-    three meets, since four points of a Fano plane are the complement of a
-    line exactly when their XOR is 0; the fifth plane is the closure of
-    those points.  It is looked up, not searched, and kept only if its id
-    exceeds d, so every pentad is found once, from its four lowest planes,
-    in lexicographic order.  :func:`_build_pentad` checks the result in full.
+    The other four planes of a pentad meet its lowest plane ``a`` at the four
+    points ``q1 < q2 < q3 < q4`` off its distinguished line, one each.  So for
+    each line of ``a``, ``b``, ``c`` and ``d`` run over the planes above ``a``
+    meeting it only at ``q1``, ``q2`` and ``q3``, and must meet each other in
+    three distinct single points.  Each then needs its fourth shared point to
+    be the XOR of its three meets, and ``e`` is the closure of those points.
+    A 5-set that fails :func:`_build_pentad`, or is found twice, raises
+    :class:`TaxonomyViolation`.
     """
     single, meet = _meet_tables(space)
-    n = len(space.plane_masks)
-    above = [single[i] & ~((1 << (i + 1)) - 1) for i in range(n)]
     plane_id_by_mask = space._plane_id_by_mask
-    out: list[Pentad] = []
-    for a in range(n):
+    found = []
+    for a, plane in enumerate(space.planes):
         meet_a = meet[a]
-        for b in _mask_points(above[a]):
-            meet_b = meet[b]
-            ab = meet_a[b]
-            for c in _mask_points(above[a] & above[b]):
-                ac, bc = meet_a[c], meet_b[c]
-                if ac == ab or bc == ab or bc == ac:
-                    continue
-                meet_c = meet[c]
-                used = (1 << ab) | (1 << ac) | (1 << bc)
-                for d in _mask_points(above[a] & above[b] & above[c]):
-                    ad, bd, cd = meet_a[d], meet_b[d], meet_c[d]
-                    bits = (1 << ad) | (1 << bd) | (1 << cd)
-                    if used & bits or bits.bit_count() != 3:
+        partners: dict[int, list[int]] = {p: [] for p in plane.points}
+        for x in _mask_points(single[a] >> (a + 1) << (a + 1)):
+            partners[meet_a[x]].append(x)
+        for line_id in plane.lines:
+            q1, q2, q3, _ = _mask_points(space.plane_masks[a] ^ space.line_masks[line_id])
+            for b in partners[q1]:
+                meet_b = meet[b]
+                for c in partners[q2]:
+                    bc = meet_b[c]
+                    if bc < 0:
                         continue
-                    # the fourth shared points of a, b and c lie on the fifth plane
-                    pa, pb, pc = ab ^ ac ^ ad, ab ^ bc ^ bd, ac ^ bc ^ cd
-                    closure = _mask_of((pa, pb, pc, pa ^ pb, pa ^ pc, pb ^ pc, pa ^ pb ^ pc))
-                    e = plane_id_by_mask.get(closure)
-                    if e is not None and e > d:
-                        pentad = _build_pentad(space, (a, b, c, d, e), len(out))
-                        if pentad is not None:
-                            out.append(pentad)
+                    meet_c = meet[c]
+                    for d in partners[q3]:
+                        bd, cd = meet_b[d], meet_c[d]
+                        if bd < 0 or cd < 0 or bd == cd or bd == bc or cd == bc:
+                            continue
+                        pb, pc, pd = q1 ^ bc ^ bd, q2 ^ bc ^ cd, q3 ^ bd ^ cd
+                        closure = _mask_of((pb, pc, pd, pb ^ pc, pb ^ pd, pc ^ pd, pb ^ pc ^ pd))
+                        e = plane_id_by_mask.get(closure)
+                        if e is not None and e > a:
+                            found.append(tuple(sorted((a, b, c, d, e))))
+    found.sort()
+    out: list[Pentad] = []
+    for rank, ids in enumerate(found):
+        pentad = _build_pentad(space, ids, rank)
+        if pentad is None or (rank and ids == found[rank - 1]):
+            raise TaxonomyViolation(f"pentad search proposed planes {ids}, not a new pentad")
+        out.append(pentad)
     return out
 
 
 def enumerate_pentads(space: Space) -> tuple[Pentad, ...]:
     """All Fano pentads, in lexicographic order of their plane 5-tuples.
 
-    The search finds the pentads in canonical order and numbers them as it
-    goes, so their ids are their ranks.
+    The search sorts what it finds and numbers the pentads in that order, so
+    their ids are their ranks.
     """
     return tuple(_search(space))
 

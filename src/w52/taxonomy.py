@@ -6,8 +6,10 @@ partition of its five planes, plus the signature of the pentagram living
 in the same pentad (negative edges, A/B/C distribution of the ten
 pentagram observables, and how many of its type-A observables touch a
 negative edge).  Signatures are read from per-plane tables of the space
-without deriving either contextual set.  Grouping the 12,096 signatures
-yields exactly 47 types in eight families keyed by negative-context count.
+without deriving either contextual set.  The census groups the pentads by
+packed sums over their five (plane, distinguished line) pairs instead, and
+builds one signature per group: exactly 47 types in eight families keyed by
+negative-context count.
 
 Census ordinals are assigned by a canonical sort of the signatures and are
 not claimed to match the reference table's numbering; agreement with the
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .geometry import Space, _mask_of
 from .pentads import Pentad, edge_is_negative, negative_counts
@@ -191,22 +193,63 @@ def config_signature(space: Space, pentad: Pentad) -> ConfigSignature:
     )
 
 
-def classify_census(space: Space, pentads: Sequence[Pentad]) -> Census:
+def _pair_table(space: Space) -> tuple[dict[int, int], dict[int, int]]:
+    """Census fields of every (plane P, line L) pair, keyed by ``P * 315 + L``.
+
+    Packed 8 bits a field: the negative contexts; 2|P∩T| - |(P∖L)∩T| for
+    T = A, B, C, whose sums are twice the configuration's type counts, as
+    each meet point lies in two planes' affine parts; the plane-class
+    one-hots; the negative-edge flag; |(P∖L)∩T|, whose sums are twice the
+    pentagram's.  The second table holds (P∖L)∩A on negative edges, else 0.
+    """
+    packed: dict[int, int] = {}
+    a_on_negative: dict[int, int] = {}
+    for plane_id, plane in enumerate(space.planes):
+        plane_mask = space.plane_masks[plane_id]
+        plane_types = [(plane_mask & t).bit_count() for t in space.type_masks]
+        class_flags = [space.plane_class_index[plane_id] == k for k in range(4)]
+        for line_id in plane.lines:
+            shared = plane_mask ^ space.line_masks[line_id]
+            negative = edge_is_negative(space, plane_id, line_id)
+            shared_types = [(shared & t).bit_count() for t in space.type_masks]
+            fields = [space.plane_negative_lines[plane_id] - (space.lines[line_id].sign < 0)]
+            fields += [2 * n - m for n, m in zip(plane_types, shared_types)]
+            fields += [*class_flags, negative, *shared_types]
+            i = plane_id * len(space.lines) + line_id
+            packed[i] = sum(int(f) << (8 * k) for k, f in enumerate(fields))
+            a_on_negative[i] = shared & space.type_masks[0] if negative else 0
+    return packed, a_on_negative
+
+
+def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
     """Group all pentads by full signature and assign canonical ordinals.
 
-    Raises :class:`TypeCountMismatch` (with the census attached) if the
-    number of distinct signatures is not 47.
+    A group's key is the sum of its pentads' :func:`_pair_table` entries and
+    the count of their type-A meet points on negative edges, its signature is
+    :func:`config_signature` of each member, and its example is its lowest
+    pentad id.  Raises :class:`TypeCountMismatch` (with the census attached)
+    if the number of distinct signatures is not 47.
     """
-    groups: dict[ConfigSignature, list[int]] = {}
+    packed, a_on_negative = _pair_table(space)
+    n_lines = len(space.lines)
+    groups: dict[tuple[int, int], list[int]] = {}
     for pentad in pentads:
-        sig = config_signature(space, pentad)
-        groups.setdefault(sig, []).append(pentad.pentad_id)
-    records = tuple(
-        TypeRecord(i + 1, sig, len(ids), min(ids))
-        for i, (sig, ids) in enumerate(
-            sorted(groups.items(), key=lambda item: item[0].sort_key)
-        )
-    )
+        total = on_negative = 0
+        for plane_id, line_id in zip(pentad.planes, pentad.distinguished_lines):
+            i = plane_id * n_lines + line_id
+            total += packed[i]
+            on_negative |= a_on_negative[i]
+        group = groups.setdefault((total, on_negative.bit_count()), [0, pentad.pentad_id])
+        group[0] += 1
+        group[1] = min(group[1], pentad.pentad_id)
+    signed = []
+    for (total, a_count), (count, example) in groups.items():
+        f = [(total >> (8 * k)) & 255 for k in range(12)]
+        pent_sig = PentagramSignature(f[8], f[9] // 2, f[10] // 2, f[11] // 2, a_count)
+        sig = ConfigSignature(f[0], f[1] // 2, f[2] // 2, f[3] // 2, *f[4:8], pent_sig)
+        signed.append((sig, count, example))
+    signed.sort(key=lambda item: item[0].sort_key)
+    records = tuple(TypeRecord(i + 1, *item) for i, item in enumerate(signed))
     census = Census(records, sum(r.multiplicity for r in records))
     if len(records) != 47:
         raise TypeCountMismatch(census)

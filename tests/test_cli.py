@@ -3,10 +3,12 @@
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
 from w52 import export
+from w52 import pentads as pentads_module
 from w52.cli import main
 from w52.geometry import TaxonomyViolation
 
@@ -109,6 +111,11 @@ class TestVerify:
         assert main(["verify", str(f)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_string_word_is_a_parse_error(self, capsys, tmp_path):
+        f = write_contexts(tmp_path / "bad.json", [["XXI", 3, "ZZI"]])
+        assert main(["verify", str(f)]) == 2
+        assert "Pauli word must be a string, got int 3" in capsys.readouterr().err
+
     def test_missing_file(self, capsys, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
@@ -165,6 +172,21 @@ class TestCensusPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: pentad 0 yields repeated contexts\n"
+
+    def test_rejected_search_candidate_is_an_error(self, space, pentads, capsys, monkeypatch):
+        build = pentads_module._build_pentad
+        victim = pentads[4321].planes
+
+        def reject_one(space, plane_ids, pentad_id=None):
+            return None if tuple(plane_ids) == victim else build(space, plane_ids, pentad_id)
+
+        monkeypatch.setattr(pentads_module, "_build_pentad", reject_one)
+        with pytest.raises(TaxonomyViolation, match=f"planes {re.escape(str(victim))}"):
+            pentads_module.enumerate_pentads(space)
+        assert main(["census"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pentad search proposed planes")
 
 
 class TestAtomicOut:

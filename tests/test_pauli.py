@@ -58,6 +58,20 @@ class TestParseFormat:
         with pytest.raises(BadLength):
             O(word)
 
+    @pytest.mark.parametrize(
+        "word, shown",
+        [
+            (3, "int 3"),
+            (None, "NoneType None"),
+            (True, "bool True"),
+            (["X", "X", "I"], "list ['X', 'X', 'I']"),
+        ],
+    )
+    def test_non_string_is_named_as_such(self, word, shown):
+        with pytest.raises(BadLength) as err:
+            O(word)
+        assert str(err.value) == f"Pauli word must be a string, got {shown}"
+
     @pytest.mark.parametrize("word", ["QXI", "xyz", "X Z", "XY1"])
     def test_invalid_letter(self, word):
         with pytest.raises(InvalidLetter):

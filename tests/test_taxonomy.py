@@ -143,6 +143,15 @@ class TestCensus:
             pair = [r for r in census.records if r.signature.table_row == row]
             assert pair[0].signature.pentagram != pair[1].signature.pentagram
 
+    def test_census_matches_per_pentad_signatures(self, space, pentads, census):
+        signatures = [config_signature(space, p) for p in pentads]
+        assert {r.signature: r.multiplicity for r in census.records} == Counter(signatures)
+        first = {}
+        for pentad, sig in zip(pentads, signatures):
+            first.setdefault(sig, pentad.pentad_id)
+        assert {r.signature: r.example_pentad for r in census.records} == first
+        assert classify_census(space, reversed(pentads)) == census
+
     def test_type_count_mismatch_on_partial_census(self, space, pentads):
         with pytest.raises(TypeCountMismatch) as err:
             classify_census(space, pentads[:50])
