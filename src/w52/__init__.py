@@ -74,7 +74,6 @@ from .taxonomy import (
     TypeRecord,
     classify_census,
     compare_with_table1,
-    config_signature,
     structural_laws,
     table1_fixture,
 )

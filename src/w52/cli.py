@@ -68,16 +68,7 @@ def _build_census():
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    try:
-        census = _build_census()
-    except TypeCountMismatch as exc:
-        print(exc, file=sys.stderr)
-        for record in exc.census.records:
-            print(
-                f"  witness pentad {record.example_pentad}: {record.signature}",
-                file=sys.stderr,
-            )
-        return EXIT_FAIL
+    census = _build_census()
     _write_or_print(export.census_csv(census), args.out)
     if args.out:
         print(f"{len(census.records)} types over {census.total} pentads -> {args.out}")
@@ -85,23 +76,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    try:
-        census = _build_census()
-    except TypeCountMismatch as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_FAIL
-    diff = compare_with_table1(census)
+    diff = compare_with_table1(_build_census())
     print(diff.render())
     return EXIT_OK if diff.ok else EXIT_FAIL
 
 
 def _cmd_laws(args: argparse.Namespace) -> int:
-    try:
-        census = _build_census()
-    except TypeCountMismatch as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_FAIL
-    report = structural_laws(census)
+    report = structural_laws(_build_census())
     print(report.render())
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -235,6 +216,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except TaxonomyViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except TypeCountMismatch as exc:
+        print(exc, file=sys.stderr)
+        for record in exc.census.records:
+            print(f"  witness pentad {record.example_pentad}: {record.signature}", file=sys.stderr)
         return EXIT_FAIL
 
 

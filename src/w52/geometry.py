@@ -64,6 +64,13 @@ def _mask_points(mask: int) -> tuple[int, ...]:
     return tuple(pts)
 
 
+def _span_mask(a: int, b: int, c: int) -> int:
+    """Mask of the XOR closure of three points; a plane's mask when they are
+    independent, otherwise fewer than seven bits or bit 0 set."""
+    ab = a ^ b
+    return 1 << a | 1 << b | 1 << c | 1 << ab | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (ab ^ c)
+
+
 class TaxonomyViolation(RuntimeError):
     """A structural fact of the space failed to hold; indicates a bug."""
 
@@ -148,18 +155,14 @@ def enumerate_planes(lines: Sequence[Line]) -> tuple[Plane, ...]:
     closed under XOR; duplicates collapse by point set.
     """
     line_id_by_mask = {line.mask: line.line_id for line in lines}
-    seen: dict[int, tuple[int, ...]] = {}
+    seen: set[int] = set()
     for line in lines:
-        a, b, c = line.points
+        a, b, _ = line.points
         # bit 0 is the identity, which commutes with everything
         cand = COMMUTE_MASK[a] & COMMUTE_MASK[b] & ~(line.mask | 1)
-        for d in _mask_points(cand):
-            pts = (a, b, c, d, a ^ d, b ^ d, c ^ d)
-            mask = _mask_of(pts)
-            if mask not in seen:
-                seen[mask] = tuple(sorted(pts))
+        seen.update(_span_mask(a, b, d) for d in _mask_points(cand))
     planes = []
-    for plane_id, pts in enumerate(sorted(seen.values())):
+    for plane_id, pts in enumerate(sorted(map(_mask_points, seen))):
         line_ids = set()
         for i, p in enumerate(pts):
             for q in pts[i + 1 :]:
@@ -264,18 +267,10 @@ class Space:
         self.planes = enumerate_planes(self.lines)
         self.line_masks = tuple(line.mask for line in self.lines)
         self.plane_masks = tuple(plane.mask for plane in self.planes)
-        # tables that let census signatures skip the derived contextual sets
-        #: number of negative lines in each plane
+        #: number of negative lines in each plane, so that negative counts
+        #: skip the derived contextual sets
         self.plane_negative_lines = tuple(
             sum(1 for lid in plane.lines if self.lines[lid].sign < 0) for plane in self.planes
-        )
-        #: each plane's class as its position in PlaneClass: negative, a, b, c
-        self.plane_class_index = tuple(
-            list(PlaneClass).index(plane.plane_class) for plane in self.planes
-        )
-        #: point masks of the type-A, type-B and type-C observables
-        self.type_masks = tuple(
-            _mask_of(p for p in range(1, 64) if TYPE_OF[p] is t) for t in ObservableType
         )
         self._line_id_by_mask = {m: i for i, m in enumerate(self.line_masks)}
         self._plane_id_by_mask = {m: i for i, m in enumerate(self.plane_masks)}
@@ -305,39 +300,43 @@ class Space:
         return self._planes_by_point[point_id]
 
     def planes_on_line(self, line_id: int) -> tuple[int, ...]:
-        if not isinstance(line_id, int) or not 0 <= line_id < 315:
+        # bool is an int subclass, but False is not a line id
+        if isinstance(line_id, bool) or not isinstance(line_id, int) or not 0 <= line_id < 315:
             raise UnknownId(f"no line with id {line_id!r}")
         return self._planes_by_line[line_id]
 
     def line_id_of(self, points: Iterable[int | Observable]) -> int:
-        mask = _mask_of(self._as_ids(points))
+        ids = self._as_ids(points)
         try:
-            return self._line_id_by_mask[mask]
+            return self._line_id_by_mask[_mask_of(ids)]
         except KeyError:
-            raise UnknownId(f"no line with point set {sorted(self._as_ids(points))}") from None
+            raise UnknownId(f"no line with point set {sorted(ids)}") from None
 
     def plane_id_of(self, points: Iterable[int | Observable]) -> int:
-        mask = _mask_of(self._as_ids(points))
+        ids = self._as_ids(points)
         try:
-            return self._plane_id_by_mask[mask]
+            return self._plane_id_by_mask[_mask_of(ids)]
         except KeyError:
-            raise UnknownId(f"no plane with point set {sorted(self._as_ids(points))}") from None
+            raise UnknownId(f"no plane with point set {sorted(ids)}") from None
 
     def plane_spanned_by(
         self, a: int | Observable, b: int | Observable, c: int | Observable
     ) -> int:
         """Plane id of the closure of three independent commuting points."""
-        ia, ib, ic = self._as_ids((a, b, c))
-        pts = {ia, ib, ic, ia ^ ib, ia ^ ic, ib ^ ic, ia ^ ib ^ ic}
-        if 0 in pts or len(pts) != 7:
+        mask = _span_mask(*self._as_ids((a, b, c)))
+        if mask & 1 or mask.bit_count() != 7:
             raise ValueError("generators are not independent")
-        return self.plane_id_of(pts)
+        return self.plane_id_of(_mask_points(mask))
 
-    @staticmethod
-    def _as_ids(points: Iterable[int | Observable]) -> list[int]:
-        return [p.point_id if isinstance(p, Observable) else p for p in points]
+    @classmethod
+    def _as_ids(cls, points: Iterable[int | Observable]) -> list[int]:
+        ids = [p.point_id if isinstance(p, Observable) else p for p in points]
+        for p in ids:
+            cls._check_point(p)
+        return ids
 
     @staticmethod
     def _check_point(point_id: int) -> None:
-        if not isinstance(point_id, int) or not 1 <= point_id <= 63:
+        # bool is an int subclass, but True is not a point id
+        if isinstance(point_id, bool) or not isinstance(point_id, int) or not 1 <= point_id <= 63:
             raise UnknownId(f"no point with id {point_id!r}")

@@ -21,10 +21,11 @@ is lexicographic on the sorted plane id 5-tuples, and pentad ids are the
 ranks in that order.
 
 The two derived sets are views for display, export and verification; the
-census and the pentad CSV read their counts from per-plane tables instead
-(:func:`negative_counts`, and the census's packed table), and the tests
-derive both sets for every pentad, so the checks inside the derivations
-still cover the whole census.
+pentad CSV reads its counts from per-plane tables instead
+(:func:`negative_counts`), and the census from its own table in
+:mod:`w52.taxonomy`.  The tests derive both sets for every pentad and check
+both tables against them, so the checks inside the derivations still cover
+the whole census.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .geometry import Space, TaxonomyViolation, _mask_of, _mask_points
+from .geometry import Space, TaxonomyViolation, _mask_points, _span_mask
 from .pauli import (
     Observable,
     fold_phase,
@@ -213,8 +214,7 @@ def _search(space: Space) -> list[Pentad]:
                         bd, cd = meet_b[d], meet_c[d]
                         if bd < 0 or cd < 0 or bd == cd or bd == bc or cd == bc:
                             continue
-                        pb, pc, pd = q1 ^ bc ^ bd, q2 ^ bc ^ cd, q3 ^ bd ^ cd
-                        closure = _mask_of((pb, pc, pd, pb ^ pc, pb ^ pd, pc ^ pd, pb ^ pc ^ pd))
+                        closure = _span_mask(q1 ^ bc ^ bd, q2 ^ bc ^ cd, q3 ^ bd ^ cd)
                         e = plane_id_by_mask.get(closure)
                         if e is not None and e > a:
                             found.append(tuple(sorted((a, b, c, d, e))))
@@ -241,10 +241,19 @@ def pentad_from_planes(
     space: Space, plane_ids: Sequence[int], pentad_id: int | None = None
 ) -> Pentad:
     """Validate five plane ids as a Fano pentad and assemble it."""
-    pentad = _build_pentad(space, sorted(plane_ids), pentad_id)
+    ids = sorted(_check_plane_id(space, p) for p in plane_ids)
+    pentad = _build_pentad(space, ids, pentad_id)
     if pentad is None:
-        raise ValueError(f"planes {sorted(plane_ids)} do not form a Fano pentad")
+        raise ValueError(f"planes {ids} do not form a Fano pentad")
     return pentad
+
+
+def _check_plane_id(space: Space, plane_id: object) -> int:
+    # bool is an int subclass, but True is not a plane id
+    n = len(space.planes)
+    if isinstance(plane_id, bool) or not isinstance(plane_id, int) or not 0 <= plane_id < n:
+        raise ValueError(f"plane id must be an integer in 0..{n - 1}, got {plane_id!r}")
+    return plane_id
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +316,9 @@ def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
     """
     line_ids = []
     points_mask = 0
-    for pos, plane_id in enumerate(pentad.planes):
-        plane = space.planes[plane_id]
-        points_mask |= plane.mask
-        skip = pentad.distinguished_lines[pos]
-        line_ids.extend(lid for lid in plane.lines if lid != skip)
+    for plane_id, skip in zip(pentad.planes, pentad.distinguished_lines):
+        points_mask |= space.plane_masks[plane_id]
+        line_ids.extend(lid for lid in space.planes[plane_id].lines if lid != skip)
     line_ids.sort()
     if len(set(line_ids)) != 30:
         raise TaxonomyViolation(f"pentad {pentad.planes} yields repeated contexts")
@@ -407,13 +414,9 @@ def pentagram_to_pentad(space: Space, pentagram: Pentagram) -> Pentad:
     _validate_pentagram_edges(sorted(rows))
     plane_ids = []
     for row in rows:
-        a, b, c, d = row
-        pts = {a, b, c, d, a ^ b, a ^ c, a ^ d}
-        if len(pts) != 7 or 0 in pts:
+        plane_mask = _span_mask(*row[:3])
+        if plane_mask & 1 or plane_mask.bit_count() != 7:
             raise ClosureNotIsotropicPlane(f"closure of edge {row} is degenerate")
-        plane_mask = 0
-        for p in pts:
-            plane_mask |= 1 << p
         plane_id = space._plane_id_by_mask.get(plane_mask)
         if plane_id is None:
             raise ClosureNotIsotropicPlane(

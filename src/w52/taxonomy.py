@@ -5,11 +5,11 @@ contexts, the A/B/C distribution of its 25 observables, the class
 partition of its five planes, plus the signature of the pentagram living
 in the same pentad (negative edges, A/B/C distribution of the ten
 pentagram observables, and how many of its type-A observables touch a
-negative edge).  Signatures are read from per-plane tables of the space
-without deriving either contextual set.  The census groups the pentads by
-packed sums over their five (plane, distinguished line) pairs instead, and
-builds one signature per group: exactly 47 types in eight families keyed by
-negative-context count.
+negative edge).  The census reads signatures without deriving either
+contextual set: it sums a packed table of the (plane, line) pairs over each
+pentad's five (plane, distinguished line) pairs, groups the pentads by that
+sum, and unpacks one signature per group: exactly 47 types in eight
+families keyed by negative-context count.
 
 Census ordinals are assigned by a canonical sort of the signatures and are
 not claimed to match the reference table's numbering; agreement with the
@@ -23,8 +23,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .geometry import Space, _mask_of
-from .pentads import Pentad, edge_is_negative, negative_counts
+from .geometry import PlaneClass, Space, _mask_of
+from .pauli import TYPE_OF, ObservableType
+from .pentads import Pentad, edge_is_negative
 
 __all__ = [
     "PentagramSignature",
@@ -32,7 +33,6 @@ __all__ = [
     "TypeRecord",
     "Census",
     "TypeCountMismatch",
-    "config_signature",
     "classify_census",
     "Table1Row",
     "table1_fixture",
@@ -154,45 +154,6 @@ class TypeCountMismatch(RuntimeError):
         self.census = census
 
 
-def config_signature(space: Space, pentad: Pentad) -> ConfigSignature:
-    """Compute the full signature of one pentad from per-plane tables.
-
-    Neither contextual set is built.  The 25 configuration observables are
-    the union of the five plane masks and the ten pentagram observables the
-    meet points, so the A/B/C counts are popcounts of those masks against
-    ``space.type_masks``; the negative counts come from
-    :func:`~w52.pentads.negative_counts`, and a type-A meet point touches a
-    negative edge when it lies in the shared points of a plane whose edge
-    is negative.
-    """
-    negative_edges, negative_contexts = negative_counts(space, pentad)
-    plane_classes = [0, 0, 0, 0]  # negative, a, b, c
-    union = on_negative = 0
-    for plane_id, line_id in zip(pentad.planes, pentad.distinguished_lines):
-        plane_classes[space.plane_class_index[plane_id]] += 1
-        plane_mask = space.plane_masks[plane_id]
-        union |= plane_mask
-        if edge_is_negative(space, plane_id, line_id):
-            on_negative |= plane_mask ^ space.line_masks[line_id]
-    meets = _mask_of(pentad.meet_points)
-    type_a, type_b, type_c = space.type_masks
-    pent_sig = PentagramSignature(
-        negative_edges,
-        (meets & type_a).bit_count(),
-        (meets & type_b).bit_count(),
-        (meets & type_c).bit_count(),
-        (meets & type_a & on_negative).bit_count(),
-    )
-    return ConfigSignature(
-        negative_contexts,
-        (union & type_a).bit_count(),
-        (union & type_b).bit_count(),
-        (union & type_c).bit_count(),
-        *plane_classes,
-        pent_sig,
-    )
-
-
 def _pair_table(space: Space) -> tuple[dict[int, int], dict[int, int]]:
     """Census fields of every (plane P, line L) pair, keyed by ``P * 315 + L``.
 
@@ -202,22 +163,23 @@ def _pair_table(space: Space) -> tuple[dict[int, int], dict[int, int]]:
     one-hots; the negative-edge flag; |(P∖L)∩T|, whose sums are twice the
     pentagram's.  The second table holds (P∖L)∩A on negative edges, else 0.
     """
+    by_type = [_mask_of(p for p, t in enumerate(TYPE_OF) if t is k) for k in ObservableType]
     packed: dict[int, int] = {}
     a_on_negative: dict[int, int] = {}
     for plane_id, plane in enumerate(space.planes):
         plane_mask = space.plane_masks[plane_id]
-        plane_types = [(plane_mask & t).bit_count() for t in space.type_masks]
-        class_flags = [space.plane_class_index[plane_id] == k for k in range(4)]
+        plane_types = [(plane_mask & t).bit_count() for t in by_type]
+        class_flags = [plane.plane_class is c for c in PlaneClass]
         for line_id in plane.lines:
             shared = plane_mask ^ space.line_masks[line_id]
             negative = edge_is_negative(space, plane_id, line_id)
-            shared_types = [(shared & t).bit_count() for t in space.type_masks]
+            shared_types = [(shared & t).bit_count() for t in by_type]
             fields = [space.plane_negative_lines[plane_id] - (space.lines[line_id].sign < 0)]
             fields += [2 * n - m for n, m in zip(plane_types, shared_types)]
             fields += [*class_flags, negative, *shared_types]
             i = plane_id * len(space.lines) + line_id
             packed[i] = sum(int(f) << (8 * k) for k, f in enumerate(fields))
-            a_on_negative[i] = shared & space.type_masks[0] if negative else 0
+            a_on_negative[i] = shared & by_type[0] if negative else 0
     return packed, a_on_negative
 
 
@@ -226,9 +188,9 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
 
     A group's key is the sum of its pentads' :func:`_pair_table` entries and
     the count of their type-A meet points on negative edges, its signature is
-    :func:`config_signature` of each member, and its example is its lowest
-    pentad id.  Raises :class:`TypeCountMismatch` (with the census attached)
-    if the number of distinct signatures is not 47.
+    unpacked from that key, and its example is its lowest pentad id.  Raises
+    :class:`TypeCountMismatch` (with the census attached) if the number of
+    distinct signatures is not 47.
     """
     packed, a_on_negative = _pair_table(space)
     n_lines = len(space.lines)

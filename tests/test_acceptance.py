@@ -90,13 +90,14 @@ def test_criterion_4_census_size(space):
 def test_criterion_5_contextuality(pentagrams, configs):
     ok = True
     for g in pentagrams:
-        ok = ok and analyze(ContextSet.from_point_ids(g.edges)).verdict is (
-            Verdict.VALID_PARITY_PROOF
-        )
+        report = analyze(ContextSet.from_point_ids(g.edges))
+        ok = ok and report.verdict is Verdict.VALID_PARITY_PROOF
+        ok = ok and report.negative_count == g.negative_edges
     for config in configs:
         cs = ContextSet.from_point_ids(config.contexts)
         report = analyze(cs)
         ok = ok and report.verdict is Verdict.VALID_PARITY_PROOF
+        ok = ok and report.negative_count == config.negative_contexts
         ok = ok and str(wa_symbol(cs)) == "10_6 15_2 − 30_3"
         counts = Counter(report.occurrence_counts.values())
         ok = ok and counts == {6: 10, 2: 15}

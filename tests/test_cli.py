@@ -11,6 +11,7 @@ from w52 import export
 from w52 import pentads as pentads_module
 from w52.cli import main
 from w52.geometry import TaxonomyViolation
+from w52.taxonomy import TypeCountMismatch, classify_census
 
 # SHA-256 of the reference `enumerate pentads --format json|csv --out` files
 EXPORT_SHA256 = {
@@ -172,6 +173,24 @@ class TestCensusPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: pentad 0 yields repeated contexts\n"
+
+    @pytest.mark.parametrize("command", ["census", "table1", "laws"])
+    def test_type_count_mismatch_is_an_error(self, space, pentads, capsys, monkeypatch, command):
+        with pytest.raises(TypeCountMismatch) as err:
+            classify_census(space, pentads[:50])
+        partial = err.value.census
+
+        def mismatch(space, pentads):
+            raise TypeCountMismatch(partial)
+
+        monkeypatch.setattr("w52.cli.classify_census", mismatch)
+        assert main([command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"classification produced {len(partial.records)} types")
+        witnesses = captured.err.splitlines()[1:]
+        assert len(witnesses) == len(partial.records)
+        assert all(line.startswith("  witness pentad ") for line in witnesses)
 
     def test_rejected_search_candidate_is_an_error(self, space, pentads, capsys, monkeypatch):
         build = pentads_module._build_pentad

@@ -91,18 +91,6 @@ class TestAnalyze:
             assert report.negative_count == base.negative_count
             assert report.occurrence_counts == base.occurrence_counts
 
-    def test_census_wide_configs_are_valid_proofs(self, configs):
-        for config in configs:
-            report = analyze(ContextSet.from_point_ids(config.contexts))
-            assert report.verdict is Verdict.VALID_PARITY_PROOF
-            assert report.negative_count == config.negative_contexts
-
-    def test_census_wide_pentagrams_are_valid_proofs(self, pentagrams):
-        for g in pentagrams:
-            report = analyze(ContextSet.from_point_ids(g.edges))
-            assert report.verdict is Verdict.VALID_PARITY_PROOF
-            assert report.negative_count == g.negative_edges
-
 
 class TestWASymbol:
     def test_canonical_pentagram_symbol(self):
@@ -110,11 +98,6 @@ class TestWASymbol:
 
     def test_single_triple_symbol(self):
         assert str(wa_symbol(ContextSet.from_words([["XXI", "YYI", "ZZI"]]))) == "3_1 − 1_3"
-
-    def test_every_config_symbol(self, configs):
-        for config in configs[::397]:
-            cs = ContextSet.from_point_ids(config.contexts)
-            assert str(wa_symbol(cs)) == "10_6 15_2 − 30_3"
 
     @given(st.data())
     def test_incidence_double_count(self, data):

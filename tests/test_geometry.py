@@ -235,6 +235,25 @@ class TestIncidence:
         with pytest.raises(UnknownId):
             space.line_id_of([1, 2, 4])  # not a line: 1^2=3 not 4
 
+    @pytest.mark.parametrize("bad", [True, -1, 64, "XII"])
+    def test_bad_point_ids_are_unknown(self, space, bad):
+        # bool is an int subclass, and a negative id indexes or shifts from the end
+        calls = [
+            lambda: space.lines_through(bad),
+            lambda: space.planes_through(bad),
+            lambda: space.line_id_of([bad, 2, 3]),
+            lambda: space.plane_id_of([bad, 2, 3, 4, 5, 6, 7]),
+            lambda: space.plane_spanned_by(1, 2, bad),
+        ]
+        for call in calls:
+            with pytest.raises(UnknownId):
+                call()
+
+    @pytest.mark.parametrize("bad", [True, False, -1, 315, "XII"])
+    def test_bad_line_ids_are_unknown(self, space, bad):
+        with pytest.raises(UnknownId):
+            space.planes_on_line(bad)
+
 
 class TestDerivedStatistics:
     """Global sign statistics; recorded, not asserted against any source."""

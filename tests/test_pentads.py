@@ -121,6 +121,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             pentad_from_planes(space, [0, 0, 1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [True, -1, 135, "XII"])
+    def test_pentad_from_planes_rejects_bad_ids(self, space, bad):
+        # -1 would wrap to plane 134, and (2, 4, 16, 82, 134) is a pentad
+        pentad_from_planes(space, [2, 4, 16, 82, 134])
+        with pytest.raises(ValueError, match="plane id must be an integer in 0..134"):
+            pentad_from_planes(space, [bad, 2, 4, 16, 82])
+
 
 class TestPentagrams:
     def test_every_observable_on_exactly_two_edges(self, pentagrams):

@@ -14,7 +14,6 @@ from w52.taxonomy import (
     TypeCountMismatch,
     classify_census,
     compare_with_table1,
-    config_signature,
     structural_laws,
     table1_fixture,
     _row_violations,
@@ -92,17 +91,14 @@ def object_signature(space, pentad, pentagram, config):
 class TestSignatures:
     def test_tables_match_derived_sets_for_every_pentad(self, space, pentads, pentagrams, configs):
         for pentad, pentagram, config in zip(pentads, pentagrams, configs):
-            assert config_signature(space, pentad) == object_signature(
-                space, pentad, pentagram, config
-            )
             assert negative_counts(space, pentad) == (
                 pentagram.negative_edges,
                 config.negative_contexts,
             )
 
-    def test_partition_identities(self, space, pentads):
-        for pentad in pentads[::1000]:
-            sig = config_signature(space, pentad)
+    def test_partition_identities(self, census):
+        for record in census.records:
+            sig = record.signature
             assert sig.obs_a + sig.obs_b + sig.obs_c == 25
             assert sig.neg_planes + sig.planes_a + sig.planes_b + sig.planes_c == 5
             assert sig.pentagram.obs_a + sig.pentagram.obs_b + sig.pentagram.obs_c == 10
@@ -143,8 +139,10 @@ class TestCensus:
             pair = [r for r in census.records if r.signature.table_row == row]
             assert pair[0].signature.pentagram != pair[1].signature.pentagram
 
-    def test_census_matches_per_pentad_signatures(self, space, pentads, census):
-        signatures = [config_signature(space, p) for p in pentads]
+    def test_census_matches_derived_signatures(self, space, pentads, pentagrams, configs, census):
+        signatures = [
+            object_signature(space, *derived) for derived in zip(pentads, pentagrams, configs)
+        ]
         assert {r.signature: r.multiplicity for r in census.records} == Counter(signatures)
         first = {}
         for pentad, sig in zip(pentads, signatures):
