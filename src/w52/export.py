@@ -6,10 +6,10 @@ emitted in a fixed order, and every file ends with a newline.
 The pentad census has two export forms.  The JSON document carries both
 contextual sets of every pentad as Pauli words; :func:`dump_pentads`
 streams it, joining each record from JSON text pre-rendered for every line
-and every affine quadruple of a plane.  The CSV table
+and every flag's affine quadruple (``Space.flags``).  The CSV table
 (:func:`pentad_table`) carries no words: one row per pentad with its plane
-ids and the negative edge and context counts, read from per-plane tables
-by :func:`~w52.pentads.negative_counts` without building either set.
+ids and the negative edge and context counts, summed over the pentad's five
+flags by :func:`~w52.pentads.negative_counts` without building either set.
 
 Files are written through :func:`atomic_open`, so a failed write leaves an
 existing file as it was.
@@ -191,13 +191,9 @@ def dump_pentads(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None:
     }
     head, tail = json.dumps(header, indent=2, ensure_ascii=False).rsplit("[]", 1)
 
-    # each line triple and each affine quadruple (a plane less one of its
-    # lines) as a word array indented as an item of "edges" or "contexts"
-    arrays = [line.points for line in space.lines] + [
-        tuple(p for p in plane.points if p not in space.lines[lid].points)
-        for plane in space.planes
-        for lid in plane.lines
-    ]
+    # each line triple and each flag's affine quadruple as a word array
+    # indented as an item of "edges" or "contexts"
+    arrays = [line.points for line in space.lines] + [f.affine for f in space.flags.values()]
     indent = "\n" + " " * 10
     fragment = {
         points: json.dumps([WORDS[p - 1] for p in points], indent=2).replace("\n", indent)
@@ -228,6 +224,8 @@ def load_context_file(path: str | Path) -> ContextSet:
     """Read a context file: {"contexts": [["XXI", "YYI", "ZZI"], ...]}."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:

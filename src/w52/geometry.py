@@ -12,6 +12,10 @@ product of its observables, and every plane falls into one of four classes:
 * ``b``         -- positive, affine part 1 A + 3 C, no negative lines;
 * ``c``         -- positive, affine part 3 A + 1 C.
 
+``Space.flags`` holds all 945 flags (a plane with one line singled out):
+the plane's four points off the line, their sign, and the plane's other
+negative lines.  A Fano pentad is five flags; its counts are read from them.
+
 Classification failures raise :class:`TaxonomyViolation`: these facts are
 structural, so a violation signals a bug, never bad input.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .pauli import (
     COMMUTE_MASK,
@@ -122,10 +126,18 @@ class Plane:
         return _mask_of(self.points)
 
 
+class Flag(NamedTuple):
+    """A plane with one of its lines singled out, as a pentad reads it."""
+
+    affine: tuple[int, int, int, int]  # the plane's points off the line, sorted
+    sign: int  # sign of the product of those four points
+    negative_lines: int  # the plane's negative lines other than this one
+
+
 def _sign_of_points(points: Sequence[int]) -> int:
     k, xor = fold_phase(points)
-    if xor:
-        raise TaxonomyViolation(f"points {points} are not closed under XOR")
+    if xor or k & 1:
+        raise TaxonomyViolation(f"points {points} do not multiply to +/-identity")
     return sign_from_phase(k)
 
 
@@ -267,11 +279,15 @@ class Space:
         self.planes = enumerate_planes(self.lines)
         self.line_masks = tuple(line.mask for line in self.lines)
         self.plane_masks = tuple(plane.mask for plane in self.planes)
-        #: number of negative lines in each plane, so that negative counts
-        #: skip the derived contextual sets
-        self.plane_negative_lines = tuple(
-            sum(1 for lid in plane.lines if self.lines[lid].sign < 0) for plane in self.planes
-        )
+        #: the 945 flags, keyed by (plane id, line id); a pentad is five of
+        #: them, so its edges, signs and negative counts are read from here
+        self.flags: dict[tuple[int, int], Flag] = {}
+        for plane_id, plane in enumerate(self.planes):
+            negative = {lid for lid in plane.lines if self.lines[lid].sign < 0}
+            for lid in plane.lines:
+                quad = _mask_points(self.plane_masks[plane_id] ^ self.line_masks[lid])
+                n = len(negative) - (lid in negative)
+                self.flags[plane_id, lid] = Flag(quad, _sign_of_points(quad), n)
         self._line_id_by_mask = {m: i for i, m in enumerate(self.line_masks)}
         self._plane_id_by_mask = {m: i for i, m in enumerate(self.plane_masks)}
         lines_by_point: list[list[int]] = [[] for _ in range(64)]

@@ -20,12 +20,13 @@ found 5-set still passes the full pentad check.  The canonical output order
 is lexicographic on the sorted plane id 5-tuples, and pentad ids are the
 ranks in that order.
 
-The two derived sets are views for display, export and verification; the
-pentad CSV reads its counts from per-plane tables instead
-(:func:`negative_counts`), and the census from its own table in
-:mod:`w52.taxonomy`.  The tests derive both sets for every pentad and check
-both tables against them, so the checks inside the derivations still cover
-the whole census.
+Each plane of a pentad with its distinguished line is a flag of
+``Space.flags``, which holds that plane's pentagram edge and its sign.  The
+derived sets are views for display, export and verification; the pentad CSV
+sums its counts over the five flags (:func:`negative_counts`) and the census
+reads its own table in :mod:`w52.taxonomy`.  The tests check both tables
+against both sets derived for every pentad, so the derivations' checks
+still cover the whole census.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "ContextualConfig",
     "NotAPentagram",
     "ClosureNotIsotropicPlane",
-    "edge_is_negative",
     "enumerate_pentads",
     "negative_counts",
     "pentad_from_planes",
@@ -89,20 +89,26 @@ class Pentad:
 
     def meet(self, plane_a: int, plane_b: int) -> int:
         """The single intersection point of two of the pentad's planes."""
-        i, j = self.planes.index(plane_a), self.planes.index(plane_b)
-        if i > j:
-            i, j = j, i
+        i, j = sorted((self._position(plane_a), self._position(plane_b)))
+        if i == j:
+            raise ValueError(f"plane {plane_a!r} given twice for a meet in pentad {self.planes}")
         return self.meet_points[_PAIRS.index((i, j))]
 
     def shared_points(self, plane_id: int) -> tuple[int, int, int, int]:
         """The four meet points lying in the given plane, sorted."""
-        pos = self.planes.index(plane_id)
+        pos = self._position(plane_id)
         pts = [m for (i, j), m in zip(_PAIRS, self.meet_points) if pos in (i, j)]
         return tuple(sorted(pts))  # type: ignore[return-value]
 
     def distinguished_line(self, plane_id: int) -> int:
         """Line id whose complement in the plane equals the shared points."""
-        return self.distinguished_lines[self.planes.index(plane_id)]
+        return self.distinguished_lines[self._position(plane_id)]
+
+    def _position(self, plane_id: int) -> int:
+        try:
+            return self.planes.index(plane_id)
+        except ValueError:
+            raise ValueError(f"plane {plane_id!r} is not in pentad {self.planes}") from None
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,7 @@ def _search(space: Space) -> list[Pentad]:
         for x in _mask_points(single[a] >> (a + 1) << (a + 1)):
             partners[meet_a[x]].append(x)
         for line_id in plane.lines:
-            q1, q2, q3, _ = _mask_points(space.plane_masks[a] ^ space.line_masks[line_id])
+            q1, q2, q3, _ = space.flags[a, line_id].affine
             for b in partners[q1]:
                 meet_b = meet[b]
                 for c in partners[q2]:
@@ -260,30 +266,16 @@ def _check_plane_id(space: Space, plane_id: object) -> int:
 # derived contextual sets
 
 
-def edge_is_negative(space: Space, plane_id: int, line_id: int) -> bool:
-    """Whether the plane's points off the line multiply to minus the identity.
-
-    The plane's product is the line's times that affine quadruple's, so the
-    quadruple's sign is the plane sign times the line sign.
-    """
-    return (space.planes[plane_id].sign < 0) != (space.lines[line_id].sign < 0)
-
-
 def negative_counts(space: Space, pentad: Pentad) -> tuple[int, int]:
     """The pentagram's negative edges and the configuration's negative contexts.
 
     Equal to ``(pentad_to_pentagram(...).negative_edges,
-    pentad_to_config(...).negative_contexts)``, read from per-plane tables
-    without building either set: each plane contributes its negative lines
-    except the distinguished one, and one edge whose sign is given by
-    :func:`edge_is_negative`.
+    pentad_to_config(...).negative_contexts)``, summed over the pentad's five
+    flags without building either set: each flag gives one edge and the
+    plane's negative lines other than the distinguished one.
     """
-    edges = contexts = 0
-    for plane_id, line_id in zip(pentad.planes, pentad.distinguished_lines):
-        line_negative = space.lines[line_id].sign < 0
-        contexts += space.plane_negative_lines[plane_id] - line_negative
-        edges += edge_is_negative(space, plane_id, line_id)
-    return edges, contexts
+    flags = [space.flags[f] for f in zip(pentad.planes, pentad.distinguished_lines)]
+    return sum(f.sign < 0 for f in flags), sum(f.negative_lines for f in flags)
 
 
 def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
@@ -292,19 +284,11 @@ def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
     Edges are the five distinguished affine quadruples, listed in
     lexicographic order.
     """
-    edges = []
-    for plane_id in pentad.planes:
-        quad = pentad.shared_points(plane_id)
-        k, xor = fold_phase(quad)
-        if xor or k & 1:
-            raise TaxonomyViolation(f"shared points {quad} do not multiply to +/-identity")
-        edges.append((quad, sign_from_phase(k)))
-    edges.sort()
-    observables = tuple(sorted(pentad.meet_points))
-    signs = tuple(s for _, s in edges)
+    flags = sorted(space.flags[f] for f in zip(pentad.planes, pentad.distinguished_lines))
+    signs = tuple(f.sign for f in flags)
     if sum(1 for s in signs if s < 0) % 2 == 0:
         raise TaxonomyViolation(f"pentagram of pentad {pentad.planes} has even negative count")
-    return Pentagram(observables, tuple(q for q, _ in edges), signs)
+    return Pentagram(tuple(sorted(pentad.meet_points)), tuple(f.affine for f in flags), signs)
 
 
 def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:

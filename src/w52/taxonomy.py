@@ -6,9 +6,10 @@ partition of its five planes, plus the signature of the pentagram living
 in the same pentad (negative edges, A/B/C distribution of the ten
 pentagram observables, and how many of its type-A observables touch a
 negative edge).  The census reads signatures without deriving either
-contextual set: it sums a packed table of the (plane, line) pairs over each
-pentad's five (plane, distinguished line) pairs, groups the pentads by that
-sum, and unpacks one signature per group: exactly 47 types in eight
+contextual set: it packs what each flag of ``Space.flags`` (a plane with
+one line singled out) adds to a signature into one integer, sums these over
+each pentad's five (plane, distinguished line) flags, groups the pentads by
+that sum, and unpacks one signature per group: exactly 47 types in eight
 families keyed by negative-context count.
 
 Census ordinals are assigned by a canonical sort of the signatures and are
@@ -25,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 from .geometry import PlaneClass, Space, _mask_of
 from .pauli import TYPE_OF, ObservableType
-from .pentads import Pentad, edge_is_negative
+from .pentads import Pentad
 
 __all__ = [
     "PentagramSignature",
@@ -154,8 +155,8 @@ class TypeCountMismatch(RuntimeError):
         self.census = census
 
 
-def _pair_table(space: Space) -> tuple[dict[int, int], dict[int, int]]:
-    """Census fields of every (plane P, line L) pair, keyed by ``P * 315 + L``.
+def _pair_table(space: Space) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Census fields of every flag (plane P, line L), keyed like ``space.flags``.
 
     Packed 8 bits a field: the negative contexts; 2|P∩T| - |(P∖L)∩T| for
     T = A, B, C, whose sums are twice the configuration's type counts, as
@@ -164,22 +165,23 @@ def _pair_table(space: Space) -> tuple[dict[int, int], dict[int, int]]:
     pentagram's.  The second table holds (P∖L)∩A on negative edges, else 0.
     """
     by_type = [_mask_of(p for p, t in enumerate(TYPE_OF) if t is k) for k in ObservableType]
-    packed: dict[int, int] = {}
-    a_on_negative: dict[int, int] = {}
+    packed: dict[tuple[int, int], int] = {}
+    a_on_negative: dict[tuple[int, int], int] = {}
     for plane_id, plane in enumerate(space.planes):
         plane_mask = space.plane_masks[plane_id]
         plane_types = [(plane_mask & t).bit_count() for t in by_type]
         class_flags = [plane.plane_class is c for c in PlaneClass]
         for line_id in plane.lines:
-            shared = plane_mask ^ space.line_masks[line_id]
-            negative = edge_is_negative(space, plane_id, line_id)
+            key = plane_id, line_id
+            flag = space.flags[key]
+            shared = _mask_of(flag.affine)
+            negative = flag.sign < 0
             shared_types = [(shared & t).bit_count() for t in by_type]
-            fields = [space.plane_negative_lines[plane_id] - (space.lines[line_id].sign < 0)]
+            fields = [flag.negative_lines]
             fields += [2 * n - m for n, m in zip(plane_types, shared_types)]
             fields += [*class_flags, negative, *shared_types]
-            i = plane_id * len(space.lines) + line_id
-            packed[i] = sum(int(f) << (8 * k) for k, f in enumerate(fields))
-            a_on_negative[i] = shared & by_type[0] if negative else 0
+            packed[key] = sum(int(f) << (8 * k) for k, f in enumerate(fields))
+            a_on_negative[key] = shared & by_type[0] if negative else 0
     return packed, a_on_negative
 
 
@@ -193,14 +195,12 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
     distinct signatures is not 47.
     """
     packed, a_on_negative = _pair_table(space)
-    n_lines = len(space.lines)
     groups: dict[tuple[int, int], list[int]] = {}
     for pentad in pentads:
         total = on_negative = 0
-        for plane_id, line_id in zip(pentad.planes, pentad.distinguished_lines):
-            i = plane_id * n_lines + line_id
-            total += packed[i]
-            on_negative |= a_on_negative[i]
+        for key in zip(pentad.planes, pentad.distinguished_lines):
+            total += packed[key]
+            on_negative |= a_on_negative[key]
         group = groups.setdefault((total, on_negative.bit_count()), [0, pentad.pentad_id])
         group[0] += 1
         group[1] = min(group[1], pentad.pentad_id)

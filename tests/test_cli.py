@@ -128,6 +128,14 @@ class TestVerify:
         assert err.startswith(f"error: {f} is not valid JSON")
         assert "Traceback" not in err
 
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
+        f = tmp_path / "latin.json"
+        f.write_bytes(b"\xff\xfe{")
+        assert main(["verify", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f} is not valid UTF-8")
+        assert "Traceback" not in err
+
     def test_non_commuting_context_diagnosed(self, capsys, tmp_path):
         f = write_contexts(tmp_path / "anti.json", [["XII", "YII", "ZII"]])
         assert main(["verify", str(f)]) == 1

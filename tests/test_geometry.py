@@ -129,14 +129,23 @@ class TestAffinePart:
         assert set(quad) == {o.point_id for o in (O("XII"), O("IXI"), O("IIX"), O("XXX"))}
 
     def test_always_four_points_with_zero_xor(self, space):
+        # also checks every flag of space.flags against routes that share
+        # no code with it: affine_part, the dense oracle and direct counts
+        assert len(space.flags) == 945
         for plane in space.planes:
+            negative = [lid for lid in plane.lines if space.lines[lid].sign < 0]
             for lid in plane.lines:
-                quad = affine_part(plane, space.lines[lid])
+                line = space.lines[lid]
+                quad = affine_part(plane, line)
                 assert len(quad) == 4
                 x = 0
                 for p in quad:
                     x ^= p
                 assert x == 0
+                flag = space.flags[plane.plane_id, lid]
+                assert flag.affine == quad
+                assert flag.sign == dense_sign(quad) == plane.sign * line.sign
+                assert flag.negative_lines == sum(1 for n in negative if n != lid)
 
     def test_line_not_in_plane(self, space):
         plane = space.planes[0]

@@ -128,6 +128,21 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="plane id must be an integer in 0..134"):
             pentad_from_planes(space, [bad, 2, 4, 16, 82])
 
+    @pytest.mark.parametrize(
+        "method, args, named",
+        [
+            ("meet", (2, 2), "plane 2 "),
+            ("meet", (2, 3), "plane 3 "),
+            ("shared_points", (3,), "plane 3 "),
+            ("distinguished_line", (3,), "plane 3 "),
+        ],
+    )
+    def test_plane_queries_name_a_bad_plane(self, space, method, args, named):
+        pentad = pentad_from_planes(space, [2, 4, 16, 82, 134])
+        with pytest.raises(ValueError, match=named) as excinfo:
+            getattr(pentad, method)(*args)
+        assert "(2, 4, 16, 82, 134)" in str(excinfo.value)
+
 
 class TestPentagrams:
     def test_every_observable_on_exactly_two_edges(self, pentagrams):

@@ -91,10 +91,14 @@ def object_signature(space, pentad, pentagram, config):
 class TestSignatures:
     def test_tables_match_derived_sets_for_every_pentad(self, space, pentads, pentagrams, configs):
         for pentad, pentagram, config in zip(pentads, pentagrams, configs):
-            assert negative_counts(space, pentad) == (
-                pentagram.negative_edges,
-                config.negative_contexts,
+            # the derived pentagram reads its signs from space.flags too, so
+            # the edge side counts them from the plane and line signs
+            negative_edges = sum(
+                space.planes[plane_id].sign * space.lines[line_id].sign < 0
+                for plane_id, line_id in zip(pentad.planes, pentad.distinguished_lines)
             )
+            assert negative_counts(space, pentad) == (negative_edges, config.negative_contexts)
+            assert pentagram.negative_edges == negative_edges
 
     def test_partition_identities(self, census):
         for record in census.records:
