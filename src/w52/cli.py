@@ -44,13 +44,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         columns = ["id", "points", "sign", "class", "b_line"]
     else:
         pentads = enumerate_pentads(space)
-        if args.out and args.format == "json":
+        if args.out:
+            dump = export.dump_pentads if args.format == "json" else export.dump_pentad_csv
             with export.atomic_open(args.out) as f:
-                export.dump_pentads(f, space, pentads)
-        elif args.out:
-            rows = export.pentad_table(space, pentads)
-            columns = ["id", "planes", "negative_edges", "negative_contexts"]
-            _write_or_print(export.render_csv(rows, columns), args.out)
+                dump(f, space, pentads)
         print(len(pentads))
         return EXIT_OK
     if args.out:

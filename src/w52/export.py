@@ -3,13 +3,16 @@
 All output is byte-deterministic: rows follow canonical ids, JSON keys are
 emitted in a fixed order, and every file ends with a newline.
 
-The pentad census has two export forms.  The JSON document carries both
-contextual sets of every pentad as Pauli words; :func:`dump_pentads`
-streams it, joining each record from JSON text pre-rendered for every line
-and every flag's affine quadruple (``Space.flags``).  The CSV table
-(:func:`pentad_table`) carries no words: one row per pentad with its plane
-ids and the negative edge and context counts, summed over the pentad's five
-flags by :func:`~w52.pentads.negative_counts` without building either set.
+The pentad census has two export forms, both streamed one pentad at a
+time.  The JSON document carries both contextual sets of every pentad as
+Pauli words; :func:`dump_pentads` joins each record from JSON text
+pre-rendered for every line and every flag's affine quadruple
+(``Space.flags``), taking the edges from the pentagram and the contexts from
+:func:`~w52.pentads.config_contexts`, so each record passes the checks of
+both sets.  The CSV table (:func:`dump_pentad_csv`) carries no words: one
+row per pentad with its plane ids and the negative edge and context counts,
+summed over the pentad's five flags by :func:`~w52.pentads.negative_counts`
+without building either set.
 
 Files are written through :func:`atomic_open`, so a failed write leaves an
 existing file as it was.
@@ -27,19 +30,19 @@ from typing import Iterator, Sequence, TextIO
 
 from .contextuality import ContextSet
 from .geometry import Space
-from .pentads import Pentad, negative_counts, pentad_to_config, pentad_to_pentagram
+from .pentads import Pentad, config_contexts, negative_counts, pentad_to_pentagram
 from .pauli import TYPE_OF, WORDS
 
 __all__ = [
     "points_table",
     "lines_table",
     "planes_table",
-    "pentad_table",
     "render_csv",
     "render_json",
     "census_csv",
     "atomic_open",
     "dump_pentads",
+    "dump_pentad_csv",
     "load_context_file",
 ]
 
@@ -76,22 +79,6 @@ def planes_table(space: Space) -> list[dict]:
         }
         for plane in space.planes
     ]
-
-
-def pentad_table(space: Space, pentads: Sequence[Pentad]) -> list[dict]:
-    """One CSV row per pentad: its planes and negative edge and context counts."""
-    rows = []
-    for pentad in pentads:
-        negative_edges, negative_contexts = negative_counts(space, pentad)
-        rows.append(
-            {
-                "id": pentad.pentad_id,
-                "planes": list(pentad.planes),
-                "negative_edges": negative_edges,
-                "negative_contexts": negative_contexts,
-            }
-        )
-    return rows
 
 
 def render_json(obj) -> str:
@@ -180,8 +167,9 @@ def dump_pentads(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None:
 
     Writes what ``json.dump(document, fp, indent=2, ensure_ascii=False)``
     and a newline would.  Each record joins word arrays rendered once per
-    call; its pentagram and configuration are derived, with all their checks,
-    for the order of its edges and contexts and for its negative counts.
+    call: its edges come from :func:`~w52.pentads.pentad_to_pentagram` and
+    its contexts from :func:`~w52.pentads.config_contexts`, so every record
+    passes the pentagram's and the configuration's checks on its way out.
     """
     header = {
         "format": "w52-pentad-census",
@@ -192,32 +180,46 @@ def dump_pentads(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None:
     head, tail = json.dumps(header, indent=2, ensure_ascii=False).rsplit("[]", 1)
 
     # each line triple and each flag's affine quadruple as a word array
-    # indented as an item of "edges" or "contexts"
-    arrays = [line.points for line in space.lines] + [f.affine for f in space.flags.values()]
+    # indented as an item of "edges" or "contexts"; words need no escaping
     indent = "\n" + " " * 10
-    fragment = {
-        points: json.dumps([WORDS[p - 1] for p in points], indent=2).replace("\n", indent)
-        for points in arrays
-    }
+    word_sep = ",\n" + " " * 12
+
+    def fragment(points: Sequence[int]) -> str:
+        words = word_sep.join([f'"{WORDS[p - 1]}"' for p in points])
+        return f"[\n{' ' * 12}{words}{indent}]"
+
+    contexts_by_line = [fragment(line.points) for line in space.lines]
+    edge_by_quad = {f.affine: fragment(f.affine) for f in space.flags.values()}
     item = "," + indent
     fp.write(f"{head}[")
     sep = "\n    "
     for pentad in pentads:
         pentagram = pentad_to_pentagram(space, pentad)
-        config = pentad_to_config(space, pentad)
+        line_ids, negative_contexts = config_contexts(space, pentad)
         planes = ",\n        ".join(map(str, pentad.planes))
-        edges = item.join([fragment[quad] for quad in pentagram.edges])
-        contexts = item.join([fragment[line] for line in config.contexts])
+        edges = item.join([edge_by_quad[quad] for quad in pentagram.edges])
+        contexts = item.join([contexts_by_line[lid] for lid in line_ids])
         fp.write(
-            f'{sep}{{\n      "id": {json.dumps(pentad.pentad_id)},\n'
+            f'{sep}{{\n      "id": {"null" if pentad.pentad_id is None else pentad.pentad_id},\n'
             f'      "planes": [\n        {planes}\n      ],\n'
             f'      "pentagram": {{\n        "edges": [\n          {edges}\n        ],\n'
             f'        "negative_edges": {pentagram.negative_edges}\n      }},\n'
             f'      "config": {{\n        "contexts": [\n          {contexts}\n        ],\n'
-            f'        "negative_contexts": {config.negative_contexts}\n      }}\n    }}'
+            f'        "negative_contexts": {negative_contexts}\n      }}\n    }}'
         )
         sep = ",\n    "
     fp.write(("\n  ]" if pentads else "]") + tail + "\n")
+
+
+def dump_pentad_csv(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None:
+    """Stream the pentad CSV to ``fp``: a header, then one row per pentad with
+    its id, its plane ids and its negative edge and context counts."""
+    fp.write("id,planes,negative_edges,negative_contexts\n")
+    for pentad in pentads:
+        negative_edges, negative_contexts = negative_counts(space, pentad)
+        pentad_id = "" if pentad.pentad_id is None else pentad.pentad_id
+        planes = " ".join(map(str, pentad.planes))
+        fp.write(f"{pentad_id},{planes},{negative_edges},{negative_contexts}\n")
 
 
 def load_context_file(path: str | Path) -> ContextSet:

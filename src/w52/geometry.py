@@ -15,6 +15,10 @@ product of its observables, and every plane falls into one of four classes:
 ``Space.flags`` holds all 945 flags (a plane with one line singled out):
 the plane's four points off the line, their sign, and the plane's other
 negative lines.  A Fano pentad is five flags; its counts are read from them.
+Two more tables serve the pentad search and the configuration check and are
+built on first use, so building a ``Space`` does not pay for them:
+``Space.plane_meets`` (which planes meet in a single point, and where) and
+``Space.contexts`` (:class:`ContextTables`).
 
 Classification failures raise :class:`TaxonomyViolation`: these facts are
 structural, so a violation signals a bug, never bad input.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .pauli import (
@@ -38,6 +43,7 @@ from .pauli import (
 )
 
 __all__ = [
+    "ContextTables",
     "Line",
     "Plane",
     "PlaneClass",
@@ -132,6 +138,25 @@ class Flag(NamedTuple):
     affine: tuple[int, int, int, int]  # the plane's points off the line, sorted
     sign: int  # sign of the product of those four points
     negative_lines: int  # the plane's negative lines other than this one
+
+
+#: bit offset of the negative-line count in a line's tally (see ContextTables)
+NEGATIVE_BIT = 256
+
+
+class ContextTables(NamedTuple):
+    """What the configuration a pentad hosts is read from, one entry per flag,
+    line, plane or point.
+
+    A tally counts points four bits a point, point p at bit 4p, so tallies add
+    up field by field; a line's tally also holds 1 at ``NEGATIVE_BIT`` if the
+    line is negative.
+    """
+
+    flag_lines: dict[tuple[int, int], tuple[int, ...]]  # the plane's six other lines
+    line_tally: list[int]  # by line id: its three points and its sign
+    plane_tally: list[int]  # by plane id: its seven points
+    point_tally: list[int]  # by point id: the point alone
 
 
 def _sign_of_points(points: Sequence[int]) -> int:
@@ -265,7 +290,8 @@ def affine_part(plane: Plane, line: Line) -> tuple[int, int, int, int]:
 class Space:
     """The fully indexed labeled polar space: points, lines, planes, incidence.
 
-    Construction enumerates everything once; afterwards the object is
+    Construction enumerates everything once, except ``plane_meets`` and
+    ``contexts``, which are built on first use; afterwards the object is
     immutable in practice and safe to share.
     """
 
@@ -304,6 +330,42 @@ class Space:
         self._lines_by_point = tuple(tuple(v) for v in lines_by_point)
         self._planes_by_point = tuple(tuple(v) for v in planes_by_point)
         self._planes_by_line = tuple(tuple(v) for v in planes_by_line)
+
+    @cached_property
+    def plane_meets(self) -> tuple[list[int], list[bytes]]:
+        """Per plane, a bitmask of the planes meeting it in exactly one point,
+        and the 135x135 table of those points (0, the identity, for every
+        other pair)."""
+        masks = self.plane_masks
+        n = len(masks)
+        single = [0] * n
+        meet = [bytearray(n) for _ in range(n)]
+        for i in range(n):
+            mi = masks[i]
+            for j in range(i + 1, n):
+                inter = mi & masks[j]
+                if inter and inter.bit_count() == 1:
+                    p = inter.bit_length() - 1
+                    meet[i][j] = meet[j][i] = p
+                    single[i] |= 1 << j
+                    single[j] |= 1 << i
+        return single, [bytes(row) for row in meet]
+
+    @cached_property
+    def contexts(self) -> ContextTables:
+        """The per-flag context lines and the point tallies of every line,
+        plane and point (:class:`ContextTables`)."""
+        point_tally = [1 << 4 * p for p in range(64)]
+        line_tally = [
+            sum(point_tally[p] for p in line.points) | (line.sign < 0) << NEGATIVE_BIT
+            for line in self.lines
+        ]
+        plane_tally = [sum(point_tally[p] for p in plane.points) for plane in self.planes]
+        flag_lines = {
+            key: tuple(lid for lid in self.planes[key[0]].lines if lid != key[1])
+            for key in self.flags
+        }
+        return ContextTables(flag_lines, line_tally, plane_tally, point_tally)
 
     # -- incidence queries ---------------------------------------------------
 

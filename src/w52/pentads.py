@@ -16,17 +16,21 @@ meeting it at the first three points off its distinguished line are picked
 among the planes above it that meet it there alone, and the fifth plane is
 forced, as the closure of their fourth shared points (four points of a Fano
 plane are the complement of a line exactly when their XOR is 0).  Every
-found 5-set still passes the full pentad check.  The canonical output order
+found 5-set still passes the full pentad check, which reads its ten meets
+from the plane-meet table ``Space.plane_meets``.  The canonical output order
 is lexicographic on the sorted plane id 5-tuples, and pentad ids are the
 ranks in that order.
 
 Each plane of a pentad with its distinguished line is a flag of
 ``Space.flags``, which holds that plane's pentagram edge and its sign.  The
-derived sets are views for display, export and verification; the pentad CSV
-sums its counts over the five flags (:func:`negative_counts`) and the census
-reads its own table in :mod:`w52.taxonomy`.  The tests check both tables
-against both sets derived for every pentad, so the derivations' checks
-still cover the whole census.
+configuration's contexts come from :func:`config_contexts`, which reads the
+flag's six other lines from ``Space.contexts`` and checks them by summing
+packed point tallies; :func:`pentad_to_config` and the JSON export both call
+it.  The derived sets are views for display, export and verification; the
+pentad CSV sums its counts over the five flags (:func:`negative_counts`) and
+the census reads its own table in :mod:`w52.taxonomy`.  The tests check both
+tables against both sets derived for every pentad, so the derivations'
+checks still cover the whole census.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .geometry import Space, TaxonomyViolation, _mask_points, _span_mask
+from .geometry import NEGATIVE_BIT, Space, TaxonomyViolation, _mask_points, _span_mask
 from .pauli import (
     Observable,
     fold_phase,
@@ -49,6 +53,7 @@ __all__ = [
     "ContextualConfig",
     "NotAPentagram",
     "ClosureNotIsotropicPlane",
+    "config_contexts",
     "enumerate_pentads",
     "negative_counts",
     "pentad_from_planes",
@@ -60,6 +65,10 @@ __all__ = [
 
 # positions of the 10 unordered pairs within a sorted plane 5-tuple
 _PAIRS = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+
+# the point-count fields of a context tally, below its negative count
+_COUNT_BITS = (1 << NEGATIVE_BIT) - 1
 
 
 class NotAPentagram(ValueError):
@@ -141,50 +150,36 @@ class ContextualConfig:
 # enumeration
 
 
-def _meet_tables(space: Space) -> tuple[list[int], list[list[int]]]:
-    """Per-plane bitmask of single-point partners and the meet-point table."""
-    masks = space.plane_masks
-    n = len(masks)
-    single = [0] * n
-    meet = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        mi = masks[i]
-        for j in range(i + 1, n):
-            inter = mi & masks[j]
-            if inter and inter.bit_count() == 1:
-                p = inter.bit_length() - 1
-                meet[i][j] = meet[j][i] = p
-                single[i] |= 1 << j
-                single[j] |= 1 << i
-    return single, meet
-
-
 def _build_pentad(
     space: Space, plane_ids: Sequence[int], pentad_id: int | None = None
 ) -> Pentad | None:
-    """Assemble a Pentad from five plane ids, or None if they are not one."""
+    """Assemble a Pentad from five plane ids, or None if they are not one.
+
+    The ids must be distinct and sorted, each pair must meet in a single
+    point of ``Space.plane_meets``, the ten meets must be distinct, and each
+    plane's points other than its four meets must form a line.
+    """
     ids = tuple(plane_ids)
     if len(ids) != 5 or list(ids) != sorted(set(ids)):
         return None
-    masks = [space.plane_masks[p] for p in ids]
-    meets = []
-    shared = [0] * 5
-    seen = 0
-    for i, j in _PAIRS:
-        inter = masks[i] & masks[j]
-        if inter.bit_count() != 1 or seen & inter:
-            return None
-        seen |= inter
-        shared[i] |= inter
-        shared[j] |= inter
-        meets.append(inter.bit_length() - 1)
-    distinguished = []
-    for mask, part in zip(masks, shared):
-        line_id = space._line_id_by_mask.get(mask ^ part)
-        if line_id is None:
-            return None
-        distinguished.append(line_id)
-    return Pentad(ids, tuple(meets), tuple(distinguished), pentad_id)
+    meet = space.plane_meets[1]
+    a, b, c, d, e = ids
+    ma, mb, mc, md = meet[a], meet[b], meet[c], meet[d]
+    meets = (ma[b], ma[c], ma[d], ma[e], mb[c], mb[d], mb[e], mc[d], mc[e], md[e])
+    if 0 in meets or len(set(meets)) != 10:
+        return None
+    ab, ac, ad, ae, bc, bd, be, cd, ce, de = [1 << m for m in meets]
+    masks, line_id = space.plane_masks, space._line_id_by_mask.get
+    distinguished = (
+        line_id(masks[a] ^ ab ^ ac ^ ad ^ ae),
+        line_id(masks[b] ^ ab ^ bc ^ bd ^ be),
+        line_id(masks[c] ^ ac ^ bc ^ cd ^ ce),
+        line_id(masks[d] ^ ad ^ bd ^ cd ^ de),
+        line_id(masks[e] ^ ae ^ be ^ ce ^ de),
+    )
+    if None in distinguished:
+        return None
+    return Pentad(ids, meets, distinguished, pentad_id)
 
 
 def _search(space: Space) -> list[Pentad]:
@@ -199,7 +194,7 @@ def _search(space: Space) -> list[Pentad]:
     A 5-set that fails :func:`_build_pentad`, or is found twice, raises
     :class:`TaxonomyViolation`.
     """
-    single, meet = _meet_tables(space)
+    single, meet = space.plane_meets
     plane_id_by_mask = space._plane_id_by_mask
     found = []
     for a, plane in enumerate(space.planes):
@@ -213,12 +208,12 @@ def _search(space: Space) -> list[Pentad]:
                 meet_b = meet[b]
                 for c in partners[q2]:
                     bc = meet_b[c]
-                    if bc < 0:
+                    if not bc:
                         continue
                     meet_c = meet[c]
                     for d in partners[q3]:
                         bd, cd = meet_b[d], meet_c[d]
-                        if bd < 0 or cd < 0 or bd == cd or bd == bc or cd == bc:
+                        if not bd or not cd or bd == cd or bd == bc or cd == bc:
                             continue
                         closure = _span_mask(q1 ^ bc ^ bd, q2 ^ bc ^ cd, q3 ^ bd ^ cd)
                         e = plane_id_by_mask.get(closure)
@@ -284,11 +279,50 @@ def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
     Edges are the five distinguished affine quadruples, listed in
     lexicographic order.
     """
-    flags = sorted(space.flags[f] for f in zip(pentad.planes, pentad.distinguished_lines))
-    signs = tuple(f.sign for f in flags)
-    if sum(1 for s in signs if s < 0) % 2 == 0:
+    flags = sorted(map(space.flags.__getitem__, zip(pentad.planes, pentad.distinguished_lines)))
+    signs = tuple([f.sign for f in flags])
+    if signs.count(-1) % 2 == 0:
         raise TaxonomyViolation(f"pentagram of pentad {pentad.planes} has even negative count")
     return Pentagram(tuple(sorted(pentad.meet_points)), tuple(f.affine for f in flags), signs)
+
+
+def config_contexts(space: Space, pentad: Pentad) -> tuple[list[int], int]:
+    """The configuration's 30 context line ids, sorted, and its negative count.
+
+    Checks, raising :class:`TaxonomyViolation`, that the contexts are 30
+    distinct lines, that the five planes cover 25 points, that the contexts
+    hold each meet point six times and every other covered point twice, and
+    that the number of negative contexts is odd.  The occurrences and the
+    negative count are summed from the tallies of the contexts' own line ids
+    (``Space.contexts``), so they check the lines the caller gets back.
+    """
+    tables = space.contexts
+    flag_lines, plane_tally = tables.flag_lines, tables.plane_tally
+    line_ids: list[int] = []
+    covered = 0  # 1 in the field of every point of the five planes
+    for key in zip(pentad.planes, pentad.distinguished_lines):
+        line_ids += flag_lines[key]
+        covered |= plane_tally[key[0]]
+    line_ids.sort()
+    if len(set(line_ids)) != 30:
+        raise TaxonomyViolation(f"pentad {pentad.planes} yields repeated contexts")
+    if covered.bit_count() != 25:
+        raise TaxonomyViolation(
+            f"pentad {pentad.planes} covers {covered.bit_count()} points, expected 25"
+        )
+    tally = sum(map(tables.line_tally.__getitem__, line_ids))
+    meets = sum(map(tables.point_tally.__getitem__, pentad.meet_points))
+    counts, negative = tally & _COUNT_BITS, tally >> NEGATIVE_BIT
+    expected = 2 * covered + 4 * meets
+    if counts != expected:
+        p = next(p for p in range(64) if (counts ^ expected) >> 4 * p & 15)
+        raise TaxonomyViolation(
+            f"point {p} occurs in {counts >> 4 * p & 15} contexts of pentad {pentad.planes}, "
+            f"expected {expected >> 4 * p & 15}"
+        )
+    if negative % 2 == 0:
+        raise TaxonomyViolation(f"config of pentad {pentad.planes} has even negative count")
+    return line_ids, negative
 
 
 def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
@@ -297,45 +331,18 @@ def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
     Contexts are the six non-distinguished lines of each plane, in line-id
     order; observables are all plane points, the ten meet points occurring
     in six contexts each and the fifteen distinguished-line points in two.
+    All the checks of :func:`config_contexts` run.
     """
-    line_ids = []
+    line_ids, _ = config_contexts(space, pentad)
     points_mask = 0
-    for plane_id, skip in zip(pentad.planes, pentad.distinguished_lines):
+    for plane_id in pentad.planes:
         points_mask |= space.plane_masks[plane_id]
-        line_ids.extend(lid for lid in space.planes[plane_id].lines if lid != skip)
-    line_ids.sort()
-    if len(set(line_ids)) != 30:
-        raise TaxonomyViolation(f"pentad {pentad.planes} yields repeated contexts")
-    observables = _mask_points(points_mask)
-    if len(observables) != 25:
-        raise TaxonomyViolation(
-            f"pentad {pentad.planes} covers {len(observables)} points, expected 25"
-        )
-    contexts = tuple(space.lines[lid].points for lid in line_ids)
-    signs = tuple(space.lines[lid].sign for lid in line_ids)
-    _check_config_profile(pentad, observables, contexts, signs)
-    return ContextualConfig(observables, contexts, signs)
-
-
-def _check_config_profile(
-    pentad: Pentad,
-    observables: Sequence[int],
-    contexts: Sequence[tuple[int, int, int]],
-    signs: Sequence[int],
-) -> None:
-    counts = {p: 0 for p in observables}
-    for ctx in contexts:
-        for p in ctx:
-            counts[p] += 1
-    meets = set(pentad.meet_points)
-    for p, c in counts.items():
-        expected = 6 if p in meets else 2
-        if c != expected:
-            raise TaxonomyViolation(
-                f"point {p} occurs in {c} contexts, expected {expected}"
-            )
-    if sum(1 for s in signs if s < 0) % 2 == 0:
-        raise TaxonomyViolation(f"config of pentad {pentad.planes} has even negative count")
+    lines = [space.lines[lid] for lid in line_ids]
+    return ContextualConfig(
+        _mask_points(points_mask),
+        tuple(line.points for line in lines),
+        tuple(line.sign for line in lines),
+    )
 
 
 # ---------------------------------------------------------------------------

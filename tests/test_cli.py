@@ -248,7 +248,7 @@ class TestAtomicOut:
         out.write_text("old\n", encoding="utf-8")
         two = io.StringIO()
         export.dump_pentads(two, space, pentads[:2])
-        derive = export.pentad_to_config
+        derive = export.config_contexts
         seen, written = [], []
 
         def fail_on_third(space, pentad):
@@ -259,7 +259,7 @@ class TestAtomicOut:
             return derive(space, pentad)
 
         # the stream writes the first two records, then fails deriving the third
-        monkeypatch.setattr(export, "pentad_to_config", fail_on_third)
+        monkeypatch.setattr(export, "config_contexts", fail_on_third)
         with pytest.raises(TaxonomyViolation):
             with export.atomic_open(out) as f:
                 export.dump_pentads(f, space, pentads[:5])

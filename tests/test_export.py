@@ -1,10 +1,16 @@
-"""The pentad JSON export against a second route: the standard json module."""
+"""The pentad exports against a second route, the standard json and csv
+modules, and the configuration check against corrupted context tables."""
 
+import csv
 import io
 import json
 
+import pytest
+
 from w52 import export
+from w52.geometry import Space, TaxonomyViolation
 from w52.pauli import WORDS
+from w52.pentads import negative_counts, pentad_from_planes, pentad_to_config
 
 
 def document(pentads, pentagrams, configs):
@@ -42,3 +48,75 @@ def test_dump_pentads_layout_matches_json_module(space, pentads, pentagrams, con
         export.dump_pentads(buf, space, chosen)
         doc = document(chosen, pentagrams, configs)
         assert buf.getvalue() == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+CORRUPTIONS = [
+    "flag line -> its distinguished line",
+    "flag line -> a line off the plane",
+    "flag line -> another of its lines",
+    "line tally",
+    "plane tally",
+    "point tally",
+]
+
+
+def corrupt(space, pentads, configs, kind):
+    """Corrupt one entry of ``space.contexts`` read by pentad 4321's first flag;
+    return the ids of every pentad that reads that entry."""
+    sample = pentads[4321]
+    plane_id, line_id = sample.planes[0], sample.distinguished_lines[0]
+    tables = space.contexts
+    six = tables.flag_lines[plane_id, line_id]
+    point = space.lines[six[0]].points[0]
+    if kind.startswith("flag line"):
+        off_plane = min(set(range(315)) - set(space.planes[plane_id].lines))
+        replacement = {
+            "flag line -> its distinguished line": line_id,
+            "flag line -> a line off the plane": off_plane,
+            "flag line -> another of its lines": six[1],
+        }[kind]
+        tables.flag_lines[plane_id, line_id] = (replacement,) + six[1:]
+        flag = plane_id, line_id
+        return {p.pentad_id for p in pentads if flag in zip(p.planes, p.distinguished_lines)}
+    if kind == "line tally":
+        tables.line_tally[six[0]] += 1 << 4 * point
+        line = space.lines[six[0]].points
+        return {p.pentad_id for p, c in zip(pentads, configs) if line in c.contexts}
+    if kind == "plane tally":
+        tables.plane_tally[plane_id] += 1 << 4 * point
+        return {p.pentad_id for p in pentads if plane_id in p.planes}
+    tables.point_tally[sample.meet_points[0]] += 1
+    return {p.pentad_id for p in pentads if sample.meet_points[0] in p.meet_points}
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_corrupt_context_table_fails_exactly_the_pentads_reading_it(pentads, configs, kind):
+    space = Space()
+    expected = corrupt(space, pentads, configs, kind)
+    assert len(expected) == {"line": 1152, "plane": 448, "point": 1920}.get(kind.split()[0], 64)
+    failed = set()
+    for pentad in pentads:
+        try:
+            pentad_to_config(space, pentad)
+        except TaxonomyViolation:
+            failed.add(pentad.pentad_id)
+    assert failed == expected
+    # the writer passes every other pentad and fails each of these on its own
+    export.dump_pentads(io.StringIO(), space, [p for p in pentads if p.pentad_id not in expected])
+    for pentad_id in sorted(expected)[:64]:
+        with pytest.raises(TaxonomyViolation):
+            export.dump_pentads(io.StringIO(), space, [pentads[pentad_id]])
+
+
+def test_dump_pentad_csv_matches_csv_module(space, pentads):
+    # the last pentad is rebuilt from its planes, so it has no id
+    chosen = list(pentads[:3]) + [pentad_from_planes(space, pentads[6000].planes)]
+    buf = io.StringIO()
+    export.dump_pentad_csv(buf, space, chosen)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["id", "planes", "negative_edges", "negative_contexts"])
+    for pentad in chosen:
+        writer.writerow([pentad.pentad_id, " ".join(map(str, pentad.planes)),
+                         *negative_counts(space, pentad)])
+    assert buf.getvalue() == expected.getvalue()

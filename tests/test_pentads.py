@@ -1,6 +1,7 @@
 """Pentad enumeration and the pentagram / configuration derivations."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -8,14 +9,15 @@ import pytest
 from w52.pentads import (
     ClosureNotIsotropicPlane,
     NotAPentagram,
+    Pentad,
     Pentagram,
     enumerate_pentads,
     pentad_from_planes,
     pentad_to_pentagram,
     pentagram_from_edges,
     pentagram_to_pentad,
+    _PAIRS,
     _build_pentad,
-    _meet_tables,
 )
 
 from conftest import dense_sign
@@ -31,11 +33,43 @@ CANONICAL_EDGES = [
 ]
 
 
+def reference_check(space, plane_ids, pentad_id=None):
+    """Reference pentad check from the plane masks alone: the Pentad, or why
+    the five ids are not one."""
+    ids = tuple(plane_ids)
+    if len(ids) != 5 or list(ids) != sorted(set(ids)):
+        return "unsorted or repeated ids"
+    masks = [space.plane_masks[p] for p in ids]
+    meets = []
+    shared = [0] * 5
+    seen = 0
+    for i, j in _PAIRS:
+        inter = masks[i] & masks[j]
+        if inter.bit_count() != 1:
+            return "planes meeting in a line" if inter else "disjoint planes"
+        if seen & inter:
+            return "repeated meet"
+        seen |= inter
+        shared[i] |= inter
+        shared[j] |= inter
+        meets.append(inter.bit_length() - 1)
+    distinguished = []
+    for mask, part in zip(masks, shared):
+        line_id = space._line_id_by_mask.get(mask ^ part)
+        if line_id is None:
+            return "shared points include a line"
+        distinguished.append(line_id)
+    return Pentad(ids, tuple(meets), tuple(distinguished), pentad_id)
+
+
 def depth5_search(space):
     """Reference: ordered clique search over all five planes, pruning on repeated
-    meets; every completed 5-set goes to the full pentad check."""
-    single, meet = _meet_tables(space)
-    n = len(space.plane_masks)
+    meets; every completed 5-set goes to :func:`reference_check`.  It reads
+    only the plane masks, not the search's tables."""
+    masks = space.plane_masks
+    n = len(masks)
+    single = [sum(1 << j for j, mj in enumerate(masks) if (mi & mj).bit_count() == 1)
+              for mi in masks]
     above = [~((1 << (j + 1)) - 1) & ((1 << n) - 1) for j in range(n)]
     out = []
 
@@ -47,14 +81,14 @@ def depth5_search(space):
             j = low.bit_length() - 1
             bits = 0
             for c in chosen:
-                b = 1 << meet[c][j]
+                b = masks[c] & masks[j]
                 if (used | bits) & b:
                     break
                 bits |= b
             else:
                 if depth == 4:
-                    pentad = _build_pentad(space, chosen + [j], len(out))
-                    if pentad is not None:
+                    pentad = reference_check(space, chosen + [j], len(out))
+                    if isinstance(pentad, Pentad):
                         out.append(pentad)
                 else:
                     extend(chosen + [j], cand & single[j] & above[j], used | bits)
@@ -62,6 +96,27 @@ def depth5_search(space):
     for i in range(n):
         extend([i], single[i] & above[i], 0)
     return tuple(out)
+
+
+def rejected_sample(space, pentads, per_reason=20):
+    """Seeded 5-sets that are not pentads, ``per_reason`` for each reason
+    :func:`reference_check` gives: pentads with one plane replaced at random,
+    and pentads with their ids reversed or one id repeated."""
+    rng = random.Random(52)
+    found = {"unsorted or repeated ids": []}
+    for pentad in rng.sample(pentads, per_reason // 2):
+        ids = pentad.planes
+        found["unsorted or repeated ids"] += [ids[::-1], ids[:4] + ids[3:4]]
+    while len(found) < 5 or min(map(len, found.values())) < per_reason:
+        ids = list(rng.choice(pentads).planes)
+        ids[rng.randrange(5)] = rng.randrange(len(space.planes))
+        if len(set(ids)) < 5:
+            continue
+        ids.sort()
+        reason = reference_check(space, ids)
+        if isinstance(reason, str) and len(found.setdefault(reason, [])) < per_reason:
+            found[reason].append(tuple(ids))
+    return found
 
 
 class TestEnumeration:
@@ -99,6 +154,26 @@ class TestEnumeration:
         reference = depth5_search(space)
         assert reference == pentads
         assert [p.pentad_id for p in reference] == [p.pentad_id for p in pentads]
+
+    def test_pentad_check_agrees_with_the_reference(self, space, pentads):
+        for pentad in pentads:
+            built = _build_pentad(space, pentad.planes, pentad.pentad_id)
+            reference = reference_check(space, pentad.planes, pentad.pentad_id)
+            assert built == reference == pentad
+            assert built.pentad_id == reference.pentad_id
+        rejected = rejected_sample(space, pentads)
+        assert sorted(rejected) == [
+            "disjoint planes",
+            "planes meeting in a line",
+            "repeated meet",
+            "shared points include a line",
+            "unsorted or repeated ids",
+        ]
+        for reason, sample in rejected.items():
+            assert len(sample) == 20
+            for ids in sample:
+                assert reference_check(space, ids) == reason
+                assert _build_pentad(space, ids) is None
 
     def test_every_plane_in_448_pentads(self, pentads):
         counts = Counter(plane for p in pentads for plane in p.planes)
