@@ -15,10 +15,11 @@ product of its observables, and every plane falls into one of four classes:
 ``Space.flags`` holds all 945 flags (a plane with one line singled out):
 the plane's four points off the line, their sign, and the plane's other
 negative lines.  A Fano pentad is five flags; its counts are read from them.
-Two more tables serve the pentad search and the configuration check and are
-built on first use, so building a ``Space`` does not pay for them:
-``Space.plane_meets`` (which planes meet in a single point, and where) and
-``Space.contexts`` (:class:`ContextTables`).
+Three more tables serve the pentad search and check and the configuration
+check, and are built on first use, so building a ``Space`` does not pay for
+them: ``Space.plane_meets`` (which planes meet in a single point, and where),
+``Space.pair_lines`` (the line through two points) and ``Space.contexts``
+(:class:`ContextTables`).
 
 Classification failures raise :class:`TaxonomyViolation`: these facts are
 structural, so a violation signals a bug, never bad input.
@@ -290,9 +291,9 @@ def affine_part(plane: Plane, line: Line) -> tuple[int, int, int, int]:
 class Space:
     """The fully indexed labeled polar space: points, lines, planes, incidence.
 
-    Construction enumerates everything once, except ``plane_meets`` and
-    ``contexts``, which are built on first use; afterwards the object is
-    immutable in practice and safe to share.
+    Construction enumerates everything once, except ``plane_meets``,
+    ``pair_lines`` and ``contexts``, which are built on first use; afterwards
+    the object is immutable in practice and safe to share.
     """
 
     points: tuple[Observable, ...]
@@ -350,6 +351,19 @@ class Space:
                     single[i] |= 1 << j
                     single[j] |= 1 << i
         return single, [bytes(row) for row in meet]
+
+    @cached_property
+    def pair_lines(self) -> tuple[tuple[int | None, ...], ...]:
+        """The 64x64 table of line ids by point pair: ``pair_lines[p][q]`` is
+        the line through points p and q, and None when p and q are not two
+        distinct points of a line (row and column 0 included)."""
+        table: list[list[int | None]] = [[None] * 64 for _ in range(64)]
+        for line in self.lines:
+            for p in line.points:
+                for q in line.points:
+                    if p != q:
+                        table[p][q] = line.line_id
+        return tuple(map(tuple, table))
 
     @cached_property
     def contexts(self) -> ContextTables:

@@ -16,8 +16,10 @@ meeting it at the first three points off its distinguished line are picked
 among the planes above it that meet it there alone, and the fifth plane is
 forced, as the closure of their fourth shared points (four points of a Fano
 plane are the complement of a line exactly when their XOR is 0).  Every
-found 5-set still passes the full pentad check, which reads its ten meets
-from the plane-meet table ``Space.plane_meets``.  The canonical output order
+found 5-set still passes the full pentad check, which works on point ids
+alone: it reads the ten meets from ``Space.plane_meets``, requires each
+plane's four to XOR to 0, and reads the distinguished lines from
+``Space.pair_lines`` (the line through two points).  The canonical output order
 is lexicographic on the sorted plane id 5-tuples, and pentad ids are the
 ranks in that order.
 
@@ -79,7 +81,7 @@ class ClosureNotIsotropicPlane(ValueError):
     """An edge's XOR closure is not a totally isotropic Fano plane."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pentad:
     """Five planes with ten distinct single-point meets and affine shared parts.
 
@@ -155,27 +157,42 @@ def _build_pentad(
 ) -> Pentad | None:
     """Assemble a Pentad from five plane ids, or None if they are not one.
 
-    The ids must be distinct and sorted, each pair must meet in a single
-    point of ``Space.plane_meets``, the ten meets must be distinct, and each
-    plane's points other than its four meets must form a line.
+    The ids must be sorted and distinct, and each pair must meet in a single
+    point of ``Space.plane_meets``.  Four distinct points of a Fano plane are
+    the complement of one of its lines exactly when their XOR is 0, and the
+    line is then ``{p^q, p^r, q^r}``: so each plane's four meets must XOR to
+    0, and ``Space.pair_lines`` must hold the line through two such XORs.
+    That also makes the ten meets distinct, with no test of its own: four
+    points of a plane with a repeat fail the XOR or the lookup (see
+    ``test_a_repeated_meet_fails_the_xor_or_the_line``), and a point that is
+    the meet of two disjoint pairs ``{a, b}`` and ``{c, d}`` lies in ``a``
+    and ``c``, so it is also ``a``'s meet with ``c``.
     """
     ids = tuple(plane_ids)
-    if len(ids) != 5 or list(ids) != sorted(set(ids)):
+    if len(ids) != 5:
+        return None
+    a, b, c, d, e = ids
+    if not a < b < c < d < e:
         return None
     meet = space.plane_meets[1]
-    a, b, c, d, e = ids
     ma, mb, mc, md = meet[a], meet[b], meet[c], meet[d]
-    meets = (ma[b], ma[c], ma[d], ma[e], mb[c], mb[d], mb[e], mc[d], mc[e], md[e])
-    if 0 in meets or len(set(meets)) != 10:
+    meets = ab, ac, ad, ae, bc, bd, be, cd, ce, de = (
+        ma[b], ma[c], ma[d], ma[e], mb[c], mb[d], mb[e], mc[d], mc[e], md[e]
+    )
+    # A 0 meet would pass the XOR as no point at all (see
+    # test_a_zero_meet_is_rejected_even_when_every_xor_holds).  Each meet lies
+    # in two planes, so e's XOR is the XOR of the other four and is not tested.
+    if 0 in meets or (
+        ab ^ ac ^ ad ^ ae or ab ^ bc ^ bd ^ be or ac ^ bc ^ cd ^ ce or ad ^ bd ^ cd ^ de
+    ):
         return None
-    ab, ac, ad, ae, bc, bd, be, cd, ce, de = [1 << m for m in meets]
-    masks, line_id = space.plane_masks, space._line_id_by_mask.get
+    line = space.pair_lines
     distinguished = (
-        line_id(masks[a] ^ ab ^ ac ^ ad ^ ae),
-        line_id(masks[b] ^ ab ^ bc ^ bd ^ be),
-        line_id(masks[c] ^ ac ^ bc ^ cd ^ ce),
-        line_id(masks[d] ^ ad ^ bd ^ cd ^ de),
-        line_id(masks[e] ^ ae ^ be ^ ce ^ de),
+        line[ab ^ ac][ab ^ ad],
+        line[ab ^ bc][ab ^ bd],
+        line[ac ^ bc][ac ^ cd],
+        line[ad ^ bd][ad ^ cd],
+        line[ae ^ be][ae ^ ce],
     )
     if None in distinguished:
         return None

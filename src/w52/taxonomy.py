@@ -155,34 +155,35 @@ class TypeCountMismatch(RuntimeError):
         self.census = census
 
 
-def _pair_table(space: Space) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Census fields of every flag (plane P, line L), keyed like ``space.flags``.
+def _pair_table(space: Space) -> list[dict[int, tuple[int, int]]]:
+    """Census fields of every flag (plane P, line L), as ``rows[P][L]``.
 
-    Packed 8 bits a field: the negative contexts; 2|P∩T| - |(P∖L)∩T| for
-    T = A, B, C, whose sums are twice the configuration's type counts, as
-    each meet point lies in two planes' affine parts; the plane-class
-    one-hots; the negative-edge flag; |(P∖L)∩T|, whose sums are twice the
-    pentagram's.  The second table holds (P∖L)∩A on negative edges, else 0.
+    Each entry is a pair.  The first is packed 8 bits a field: the negative
+    contexts; 2|P∩T| - |(P∖L)∩T| for T = A, B, C, whose sums are twice the
+    configuration's type counts, as each meet point lies in two planes'
+    affine parts; the plane-class one-hots; the negative-edge flag;
+    |(P∖L)∩T|, whose sums are twice the pentagram's.  The second is the mask
+    of (P∖L)∩A on negative edges, else 0.
     """
     by_type = [_mask_of(p for p, t in enumerate(TYPE_OF) if t is k) for k in ObservableType]
-    packed: dict[tuple[int, int], int] = {}
-    a_on_negative: dict[tuple[int, int], int] = {}
+    rows: list[dict[int, tuple[int, int]]] = []
     for plane_id, plane in enumerate(space.planes):
         plane_mask = space.plane_masks[plane_id]
         plane_types = [(plane_mask & t).bit_count() for t in by_type]
         class_flags = [plane.plane_class is c for c in PlaneClass]
+        row = {}
         for line_id in plane.lines:
-            key = plane_id, line_id
-            flag = space.flags[key]
+            flag = space.flags[plane_id, line_id]
             shared = _mask_of(flag.affine)
             negative = flag.sign < 0
             shared_types = [(shared & t).bit_count() for t in by_type]
             fields = [flag.negative_lines]
             fields += [2 * n - m for n, m in zip(plane_types, shared_types)]
             fields += [*class_flags, negative, *shared_types]
-            packed[key] = sum(int(f) << (8 * k) for k, f in enumerate(fields))
-            a_on_negative[key] = shared & by_type[0] if negative else 0
-    return packed, a_on_negative
+            packed = sum(int(f) << (8 * k) for k, f in enumerate(fields))
+            row[line_id] = packed, shared & by_type[0] if negative else 0
+        rows.append(row)
+    return rows
 
 
 def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
@@ -194,14 +195,17 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
     :class:`TypeCountMismatch` (with the census attached) if the number of
     distinct signatures is not 47.
     """
-    packed, a_on_negative = _pair_table(space)
+    rows = _pair_table(space)
     groups: dict[tuple[int, int], list[int]] = {}
     for pentad in pentads:
-        total = on_negative = 0
-        for key in zip(pentad.planes, pentad.distinguished_lines):
-            total += packed[key]
-            on_negative |= a_on_negative[key]
-        group = groups.setdefault((total, on_negative.bit_count()), [0, pentad.pentad_id])
+        (a, b, c, d, e), (la, lb, lc, ld, le) = pentad.planes, pentad.distinguished_lines
+        pa, na = rows[a][la]
+        pb, nb = rows[b][lb]
+        pc, nc = rows[c][lc]
+        pd, nd = rows[d][ld]
+        pe, ne = rows[e][le]
+        key = pa + pb + pc + pd + pe, (na | nb | nc | nd | ne).bit_count()
+        group = groups.setdefault(key, [0, pentad.pentad_id])
         group[0] += 1
         group[1] = min(group[1], pentad.pentad_id)
     signed = []

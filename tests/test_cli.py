@@ -19,6 +19,9 @@ EXPORT_SHA256 = {
     "csv": "58719f3250e1cc28137cd6a2a9d8661d44e76ac53fd54948c3ca6950a41d29c1",
 }
 
+# SHA-256 of the reference `census --out` file
+CENSUS_SHA256 = "00f28379865f6354d846e5c1a42ef19e54906fd3a424cbc58dd763e820280779"
+
 CANONICAL_EDGES = [
     ["XII", "IYI", "IIY", "XYY"],
     ["YII", "IXI", "IIY", "YXY"],
@@ -156,6 +159,11 @@ class TestCensusPipeline:
         out = tmp_path / "census.csv"
         assert main(["census", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == export.census_csv(census)
+
+    def test_census_csv_matches_reference_bytes(self, capsys, tmp_path):
+        out = tmp_path / "census.csv"
+        assert main(["census", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_SHA256
 
     def test_census_header(self, capsys):
         assert main(["census"]) == 0

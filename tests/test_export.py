@@ -3,6 +3,7 @@ modules, and the configuration check against corrupted context tables."""
 
 import csv
 import io
+import itertools
 import json
 
 import pytest
@@ -10,7 +11,12 @@ import pytest
 from w52 import export
 from w52.geometry import Space, TaxonomyViolation
 from w52.pauli import WORDS
-from w52.pentads import negative_counts, pentad_from_planes, pentad_to_config
+from w52.pentads import (
+    config_contexts,
+    negative_counts,
+    pentad_from_planes,
+    pentad_to_config,
+)
 
 
 def document(pentads, pentagrams, configs):
@@ -106,6 +112,49 @@ def test_corrupt_context_table_fails_exactly_the_pentads_reading_it(pentads, con
     for pentad_id in sorted(expected)[:64]:
         with pytest.raises(TaxonomyViolation):
             export.dump_pentads(io.StringIO(), space, [pentads[pentad_id]])
+
+
+def test_repeated_contexts_that_keep_every_tally_are_rejected(pentads):
+    # In a flag, the two lines through a point x of the distinguished line each
+    # hold x and two meets, so giving one of them twice in place of the other
+    # moves two meets' counts.  Two such swaps in each of three planes can
+    # cancel, sign bits included: then only the distinct-lines check is left.
+    space = Space()
+    tables = space.contexts
+    sample = pentads[4321]
+    flags = list(zip(sample.planes, sample.distinguished_lines))
+
+    def swaps(flag):
+        six = tables.flag_lines[flag]
+        through = [
+            [lid for lid in six if x in space.lines[lid].points]
+            for x in space.lines[flag[1]].points
+        ]
+        for two in itertools.combinations(through, 2):
+            yield from itertools.product(*[(pair, pair[::-1]) for pair in two])
+
+    def shift(swap):
+        return sum(tables.line_tally[kept] - tables.line_tally[dropped] for kept, dropped in swap)
+
+    corruption = next(
+        zip(chosen, moves)
+        for chosen in itertools.combinations(flags, 3)
+        for moves in itertools.product(*map(swaps, chosen))
+        if sum(map(shift, moves)) == 0
+    )
+    before = config_contexts(space, sample)
+    for flag, swap in corruption:
+        six = list(tables.flag_lines[flag])
+        for kept, dropped in swap:
+            six[six.index(dropped)] = kept
+        tables.flag_lines[flag] = tuple(six)
+    line_ids = [lid for flag in flags for lid in tables.flag_lines[flag]]
+    assert len(set(line_ids)) == 24
+    assert sum(map(tables.line_tally.__getitem__, line_ids)) == sum(
+        map(tables.line_tally.__getitem__, before[0])
+    )
+    with pytest.raises(TaxonomyViolation, match="repeated contexts"):
+        config_contexts(space, sample)
 
 
 def test_dump_pentad_csv_matches_csv_module(space, pentads):

@@ -8,6 +8,7 @@ from w52.geometry import (
     LineNotInPlane,
     PlaneClass,
     UnknownId,
+    _mask_points,
     affine_part,
     classify_plane,
 )
@@ -65,6 +66,19 @@ class TestLines:
     def test_canonical_ids_are_ranks(self, space):
         triples = [line.points for line in space.lines]
         assert triples == sorted(triples)
+
+    def test_pair_lines_name_the_line_through_two_points(self, space):
+        expected = {}
+        for mask, line_id in space._line_id_by_mask.items():
+            for p, q in itertools.permutations(_mask_points(mask), 2):
+                expected[p, q] = line_id
+        assert len(expected) == 315 * 6
+        assert len(space.pair_lines) == 64
+        for p, row in enumerate(space.pair_lines):
+            assert len(row) == 64
+            for q, line_id in enumerate(row):
+                # None off the 1,890 pairs, row and column 0 included
+                assert line_id == expected.get((p, q))
 
 
 class TestPlanes:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from w52.geometry import Space, _mask_of
 from w52.pentads import (
     ClosureNotIsotropicPlane,
     NotAPentagram,
@@ -60,6 +61,15 @@ def reference_check(space, plane_ids, pentad_id=None):
             return "shared points include a line"
         distinguished.append(line_id)
     return Pentad(ids, tuple(meets), tuple(distinguished), pentad_id)
+
+
+def set_meet(space, i, j, point):
+    """Overwrite both halves of the meet of planes i and j in ``space.plane_meets``."""
+    meet = space.plane_meets[1]
+    for x, y in ((i, j), (j, i)):
+        row = bytearray(meet[x])
+        row[y] = point
+        meet[x] = bytes(row)
 
 
 def depth5_search(space):
@@ -174,6 +184,62 @@ class TestEnumeration:
             for ids in sample:
                 assert reference_check(space, ids) == reason
                 assert _build_pentad(space, ids) is None
+
+    def test_a_repeated_meet_fails_the_xor_or_the_line(self, space):
+        # why _build_pentad needs no test of its own that the ten meets are
+        # distinct: four points of a plane with a repeat never pass its check
+        line = space.pair_lines
+        for plane in space.planes:
+            for four in itertools.product(plane.points, repeat=4):
+                p, q, r, s = four
+                xor = p ^ q ^ r ^ s
+                found = None if xor else line[p ^ q][p ^ r]
+                if len(set(four)) < 4:
+                    assert found is None
+                elif not xor:
+                    # four distinct points: the line is the rest of the plane
+                    assert found is not None
+                    assert space.line_masks[found] == plane.mask ^ _mask_of(four)
+
+    @pytest.mark.parametrize("to", ["0", "a point of the plane", "a point off the plane"])
+    def test_corrupt_meet_fails_exactly_the_pentads_reading_it(self, pentads, to):
+        space = Space()
+        a, b = pentads[4321].planes[:2]
+        right = space.plane_meets[1][a][b]
+        points = space.planes[a].points
+        wrong = {
+            "0": 0,
+            "a point of the plane": min(p for p in points if p != right),
+            "a point off the plane": min(set(range(1, 64)) - set(points)),
+        }[to]
+        set_meet(space, a, b, wrong)
+        rejected = {p.pentad_id for p in pentads if _build_pentad(space, p.planes) is None}
+        assert rejected == {p.pentad_id for p in pentads if {a, b} <= set(p.planes)}
+        assert len(rejected) == 32
+
+    def test_a_zero_meet_is_rejected_even_when_every_xor_holds(self, pentads):
+        # moving the meet of a and b into their meets with c keeps every XOR
+        # at 0 and every lookup a line, so only the test for a 0 meet is left
+        space = Space()
+        pentad = pentads[4321]
+        a, b, c = pentad.planes[:3]
+        ab, ac, bc = pentad.meet(a, b), pentad.meet(a, c), pentad.meet(b, c)
+        for i, j, point in ((a, b, 0), (a, c, ac ^ ab), (b, c, bc ^ ab)):
+            set_meet(space, i, j, point)
+        assert _build_pentad(space, pentad.planes) is None
+
+    def test_five_planes_through_one_point_are_rejected(self, space):
+        # their ten meets are all that point, so every XOR holds and only the
+        # line lookup (of row 0) is left to reject them
+        masks = space.plane_masks
+        spread = next(
+            five
+            for five in itertools.combinations(space.planes_through(1), 5)
+            if all((masks[i] & masks[j]).bit_count() == 1
+                   for i, j in itertools.combinations(five, 2))
+        )
+        assert reference_check(space, spread) == "repeated meet"
+        assert _build_pentad(space, spread) is None
 
     def test_every_plane_in_448_pentads(self, pentads):
         counts = Counter(plane for p in pentads for plane in p.planes)
