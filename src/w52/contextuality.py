@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .pauli import (
     DuplicateObservable,
@@ -51,18 +50,27 @@ class Verdict(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ContextSet:
-    """A list of contexts, each a nonempty tuple of distinct observables."""
-
+class _ContextSetFields(NamedTuple):
     contexts: tuple[tuple[Observable, ...], ...]
 
-    def __post_init__(self) -> None:
-        for ctx in self.contexts:
+
+class ContextSet(_ContextSetFields):
+    """A list of contexts, each a nonempty tuple of distinct observables."""
+
+    __slots__ = ()
+
+    def __new__(cls, contexts: tuple[tuple[Observable, ...], ...]) -> "ContextSet":
+        for ctx in contexts:
             if not ctx:
                 raise PauliError("empty context")
             if len({o.point_id for o in ctx}) != len(ctx):
                 raise DuplicateObservable(f"context {[str(o) for o in ctx]} repeats an observable")
+        return super().__new__(cls, contexts)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ContextSet":
+        # _replace builds through _make, which would otherwise skip the check
+        return cls(*iterable)
 
     @classmethod
     def from_words(cls, rows: Iterable[Iterable[str]]) -> "ContextSet":
@@ -86,8 +94,7 @@ class ContextSet:
         return {"contexts": [[o.word for o in ctx] for ctx in self.contexts]}
 
 
-@dataclass(frozen=True)
-class ContextReport:
+class ContextReport(NamedTuple):
     """Per-context verification outcome; sign is None unless the context is
     commuting and closed."""
 
@@ -97,8 +104,7 @@ class ContextReport:
     sign: int | None
 
 
-@dataclass(frozen=True)
-class ProofReport:
+class ProofReport(NamedTuple):
     contexts: tuple[ContextReport, ...]
     occurrence_counts: Mapping[Observable, int]
     negative_count: int
@@ -158,8 +164,12 @@ def analyze(context_set: ContextSet) -> ProofReport:
     return ProofReport(tuple(reports), occurrence, negative, all_even, odd_negative, verdict)
 
 
-@dataclass(frozen=True)
-class WASymbol:
+class _WASymbolFields(NamedTuple):
+    point_part: tuple[tuple[int, int], ...]
+    context_part: tuple[tuple[int, int], ...]
+
+
+class WASymbol(_WASymbolFields):
     """Compact incidence notation: observable occurrences vs context sizes.
 
     ``point_part`` lists (occurrence count k, number of observables n_k) and
@@ -167,16 +177,25 @@ class WASymbol:
     descending subscript order, rendered like ``10_6 15_2 − 30_3``.
     """
 
-    point_part: tuple[tuple[int, int], ...]
-    context_part: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        point_incidences = sum(k * n for k, n in self.point_part)
-        context_incidences = sum(s * m for s, m in self.context_part)
+    def __new__(
+        cls,
+        point_part: tuple[tuple[int, int], ...],
+        context_part: tuple[tuple[int, int], ...],
+    ) -> "WASymbol":
+        point_incidences = sum(k * n for k, n in point_part)
+        context_incidences = sum(s * m for s, m in context_part)
         if point_incidences != context_incidences:
             raise ValueError(
                 f"incidence double count broken: {point_incidences} != {context_incidences}"
             )
+        return super().__new__(cls, point_part, context_part)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "WASymbol":
+        # _replace builds through _make, which would otherwise skip the check
+        return cls(*iterable)
 
     def __str__(self) -> str:
         points = " ".join(f"{n}_{k}" for k, n in self.point_part)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -104,8 +103,7 @@ class PlaneClass(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """A totally isotropic line: three mutually commuting points closed under XOR."""
 
     line_id: int
@@ -117,8 +115,7 @@ class Line:
         return _mask_of(self.points)
 
 
-@dataclass(frozen=True)
-class Plane:
+class Plane(NamedTuple):
     """A Fano plane: seven mutually commuting points forming a 2-subspace."""
 
     plane_id: int
@@ -189,8 +186,9 @@ def enumerate_lines() -> tuple[Line, ...]:
 def enumerate_planes(lines: Sequence[Line]) -> tuple[Plane, ...]:
     """All 135 Fano planes, sorted by point tuple; ids are the ranks.
 
-    Each line is extended by every point commuting with both generators and
-    closed under XOR; duplicates collapse by point set.
+    Each line is extended by the lowest point commuting with both generators
+    and not yet in a plane through the line, closed under XOR, until no such
+    point is left; the three planes through each line collapse by point set.
     """
     line_id_by_mask = {line.mask: line.line_id for line in lines}
     seen: set[int] = set()
@@ -198,7 +196,10 @@ def enumerate_planes(lines: Sequence[Line]) -> tuple[Plane, ...]:
         a, b, _ = line.points
         # bit 0 is the identity, which commutes with everything
         cand = COMMUTE_MASK[a] & COMMUTE_MASK[b] & ~(line.mask | 1)
-        seen.update(_span_mask(a, b, d) for d in _mask_points(cand))
+        while cand:
+            span = _span_mask(a, b, (cand & -cand).bit_length() - 1)
+            seen.add(span)
+            cand &= ~span
     planes = []
     for plane_id, pts in enumerate(sorted(map(_mask_points, seen))):
         line_ids = set()

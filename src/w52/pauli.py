@@ -25,8 +25,7 @@ three factor slots.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -117,8 +116,11 @@ class ObservableType(enum.Enum):
     C = "C"
 
 
-@dataclass(frozen=True, order=True)
-class Observable:
+class _ObservableFields(NamedTuple):
+    point_id: int
+
+
+class Observable(_ObservableFields):
     """A non-identity three-qubit Pauli word, addressed by its point id.
 
     ``point_id`` is the GF(2)^6 coordinate vector read as a binary number
@@ -126,10 +128,16 @@ class Observable:
     canonical order used everywhere else in the package.
     """
 
-    point_id: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_point_id(self.point_id)
+    def __new__(cls, point_id: int) -> "Observable":
+        _check_point_id(point_id)
+        return super().__new__(cls, point_id)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Observable":
+        # _replace builds through _make, which would otherwise skip the check
+        return cls(*iterable)
 
     @property
     def coords(self) -> tuple[int, int, int, int, int, int]:

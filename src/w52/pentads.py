@@ -37,8 +37,7 @@ checks still cover the whole census.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import NEGATIVE_BIT, Space, TaxonomyViolation, _mask_points, _span_mask
 from .pauli import (
@@ -81,8 +80,7 @@ class ClosureNotIsotropicPlane(ValueError):
     """An edge's XOR closure is not a totally isotropic Fano plane."""
 
 
-@dataclass(frozen=True, slots=True)
-class Pentad:
+class Pentad(NamedTuple):
     """Five planes with ten distinct single-point meets and affine shared parts.
 
     ``meet_points`` lists the pairwise intersection points in the fixed pair
@@ -96,7 +94,21 @@ class Pentad:
     planes: tuple[int, int, int, int, int]
     meet_points: tuple[int, int, int, int, int, int, int, int, int, int]
     distinguished_lines: tuple[int, int, int, int, int]
-    pentad_id: int | None = field(default=None, compare=False)
+    pentad_id: int | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Pentad):
+            return self[:3] == other[:3]
+        return NotImplemented
+
+    # tuple's own != would compare pentad_id too
+    def __ne__(self, other: object) -> bool:
+        if isinstance(other, Pentad):
+            return self[:3] != other[:3]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     def meet(self, plane_a: int, plane_b: int) -> int:
         """The single intersection point of two of the pentad's planes."""
@@ -122,8 +134,7 @@ class Pentad:
             raise ValueError(f"plane {plane_id!r} is not in pentad {self.planes}") from None
 
 
-@dataclass(frozen=True)
-class Pentagram:
+class Pentagram(NamedTuple):
     """Ten observables on five 4-element contexts, each observable on two."""
 
     observables: tuple[int, ...]  # 10 sorted point ids
@@ -135,8 +146,7 @@ class Pentagram:
         return sum(1 for s in self.edge_signs if s < 0)
 
 
-@dataclass(frozen=True)
-class ContextualConfig:
+class ContextualConfig(NamedTuple):
     """Twenty-five observables on thirty 3-element contexts (isotropic lines)."""
 
     observables: tuple[int, ...]  # 25 sorted point ids

@@ -21,7 +21,6 @@ published classification is established by comparing the multiset of
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .geometry import PlaneClass, Space, _mask_of
@@ -46,32 +45,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PentagramSignature:
-    """Parameters of a Mermin pentagram: negative edges, observable types,
-    and the count of its type-A observables incident with a negative edge."""
-
+class _PentagramSignatureFields(NamedTuple):
     negative_edges: int
     obs_a: int
     obs_b: int
     obs_c: int
     a_on_negative: int
 
-    def __post_init__(self) -> None:
+
+class PentagramSignature(_PentagramSignatureFields):
+    """Parameters of a Mermin pentagram: negative edges, observable types,
+    and the count of its type-A observables incident with a negative edge."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: int, **kwargs: int) -> "PentagramSignature":
+        self = super().__new__(cls, *args, **kwargs)
         if self.obs_a + self.obs_b + self.obs_c != 10:
             raise ValueError("pentagram observable types must sum to 10")
         if self.negative_edges % 2 == 0 or not 1 <= self.negative_edges <= 5:
             raise ValueError("negative edge count must be odd in 1..5")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "PentagramSignature":
+        # _replace builds through _make, which would otherwise skip the check
+        return cls(*iterable)
 
     @property
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.negative_edges, self.obs_a, self.obs_b, self.obs_c, self.a_on_negative)
 
 
-@dataclass(frozen=True)
-class ConfigSignature:
-    """Full type signature of a pentad configuration."""
-
+class _ConfigSignatureFields(NamedTuple):
     negative_contexts: int
     obs_a: int
     obs_b: int
@@ -82,13 +88,26 @@ class ConfigSignature:
     planes_c: int
     pentagram: PentagramSignature
 
-    def __post_init__(self) -> None:
+
+class ConfigSignature(_ConfigSignatureFields):
+    """Full type signature of a pentad configuration."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> "ConfigSignature":
+        self = super().__new__(cls, *args, **kwargs)
         if self.obs_a + self.obs_b + self.obs_c != 25:
             raise ValueError("observable types must sum to 25")
         if self.neg_planes + self.planes_a + self.planes_b + self.planes_c != 5:
             raise ValueError("plane classes must sum to 5")
         if self.negative_contexts % 2 == 0:
             raise ValueError("negative context count must be odd")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ConfigSignature":
+        # _replace builds through _make, which would otherwise skip the check
+        return cls(*iterable)
 
     @property
     def table_row(self) -> tuple[int, int, int, int, int, int, int, int]:
@@ -118,16 +137,14 @@ class ConfigSignature:
         )
 
 
-@dataclass(frozen=True)
-class TypeRecord:
+class TypeRecord(NamedTuple):
     assigned_type: int
     signature: ConfigSignature
     multiplicity: int
     example_pentad: int
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """The aggregated classification: one record per type, canonical order."""
 
     records: tuple[TypeRecord, ...]
@@ -301,8 +318,7 @@ def table1_fixture() -> tuple[Table1Row, ...]:
     return tuple(Table1Row(*row) for row in _TABLE1)
 
 
-@dataclass(frozen=True)
-class Table1Diff:
+class Table1Diff(NamedTuple):
     """Multiset difference between census rows and the reference rows."""
 
     missing: tuple[tuple[tuple[int, ...], int], ...]  # in reference, not in census
@@ -363,16 +379,14 @@ def _row_violations(row: tuple[int, int, int, int, int, int, int, int]) -> list[
     return broken
 
 
-@dataclass(frozen=True)
-class LawViolation:
+class LawViolation(NamedTuple):
     law: str
     description: str
     row: tuple[int, ...]
     example_pentad: int
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     violations: tuple[LawViolation, ...]
 
     @property

@@ -207,6 +207,12 @@ class TestCensusPipeline:
         witnesses = captured.err.splitlines()[1:]
         assert len(witnesses) == len(partial.records)
         assert all(line.startswith("  witness pentad ") for line in witnesses)
+        assert witnesses[0] == (
+            "  witness pentad 15: ConfigSignature(negative_contexts=9, obs_a=5, obs_b=10, "
+            "obs_c=10, neg_planes=2, planes_a=1, planes_b=0, planes_c=2, "
+            "pentagram=PentagramSignature(negative_edges=3, obs_a=2, obs_b=5, obs_c=3, "
+            "a_on_negative=1))"
+        )
 
     def test_rejected_search_candidate_is_an_error(self, space, pentads, capsys, monkeypatch):
         build = pentads_module._build_pentad

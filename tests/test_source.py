@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "w52").glob("*.py"))
 
@@ -22,33 +24,60 @@ def test_no_assert_statements():
     assert found == []
 
 
+def imported_modules(path):
+    """(line, top-level module name) of every import statement in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        yield from ((node.lineno, name.split(".")[0]) for name in names)
+
+
 def test_no_process_pool_imports():
     # no flag or parameter can ask the package for worker processes
     assert SOURCES
     pools = ("concurrent", "multiprocessing")
-    found = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [
-                f"{path.name}:{node.lineno}:{name}"
-                for name in names
-                if name.split(".")[0] in pools
-            ]
+    found = [
+        f"{path.name}:{lineno}:{name}"
+        for path in SOURCES
+        for lineno, name in imported_modules(path)
+        if name in pools
+    ]
     assert found == []
 
 
-def test_census_command_does_not_import_numpy(tmp_path):
-    # numpy serves only the dense test oracle; every w52 process would pay its import
+def test_no_dataclasses_imports():
+    # importing dataclasses pulls in inspect, and building the classes costs
+    # every w52 process tens of milliseconds; the records are NamedTuples
+    assert SOURCES
+    found = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        for lineno, name in imported_modules(path)
+        if name == "dataclasses"
+    ]
+    assert found == []
+
+
+# numpy serves only the dense test oracle; dataclasses and inspect cost tens of
+# milliseconds of start-up; every w52 process would pay for any of them
+HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["census", "--out", "{tmp}/census.csv"], ["enumerate", "points"]],
+    ids=["census", "enumerate points"],
+)
+def test_commands_load_no_heavy_modules(tmp_path, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = (
         "import sys; from w52.cli import main; "
-        f"code = main(['census', '--out', {str(tmp_path / 'census.csv')!r}]); "
-        "print('numpy' in sys.modules); sys.exit(code)"
+        f"code = main({argv!r}); "
+        f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules)); sys.exit(code)"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -58,4 +87,4 @@ def test_census_command_does_not_import_numpy(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "[]"
