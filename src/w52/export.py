@@ -130,7 +130,7 @@ def census_csv(census) -> str:
         writer.writerow(
             (record.assigned_type, record.multiplicity)
             + sig.table_row
-            + sig.pentagram.as_tuple
+            + sig.pentagram
             + (record.example_pentad,)
         )
     return buf.getvalue()

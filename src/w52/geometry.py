@@ -13,13 +13,14 @@ product of its observables, and every plane falls into one of four classes:
 * ``c``         -- positive, affine part 3 A + 1 C.
 
 ``Space.flags`` holds all 945 flags (a plane with one line singled out):
-the plane's four points off the line, their sign, and the plane's other
-negative lines.  A Fano pentad is five flags; its counts are read from them.
-Three more tables serve the pentad search and check and the configuration
-check, and are built on first use, so building a ``Space`` does not pay for
-them: ``Space.plane_meets`` (which planes meet in a single point, and where),
-``Space.pair_lines`` (the line through two points) and ``Space.contexts``
-(:class:`ContextTables`).
+the plane's four points off the line, their sign, the plane's other negative
+lines and its six other lines.  A Fano pentad is five flags; its counts and
+its configuration's contexts are read from them.  Four more tables serve the
+pentad search and check and the configuration check, and are built on first
+use, so building a ``Space`` does not pay for them: ``Space.plane_meets``
+(which planes meet in a single point, and where), ``Space.pair_lines`` (the
+line through two points), and ``Space.line_tally`` and ``Space.plane_tally``
+(the points of each line and plane, packed by :func:`_tally`).
 
 Classification failures raise :class:`TaxonomyViolation`: these facts are
 structural, so a violation signals a bug, never bad input.
@@ -43,7 +44,6 @@ from .pauli import (
 )
 
 __all__ = [
-    "ContextTables",
     "Line",
     "Plane",
     "PlaneClass",
@@ -62,6 +62,17 @@ def _mask_of(points: Iterable[int]) -> int:
     for p in points:
         m |= 1 << p
     return m
+
+
+#: bit offset of the negative-line count in a line's tally (``Space.line_tally``)
+NEGATIVE_BIT = 256
+
+
+def _tally(points: Iterable[int]) -> int:
+    """Point counts packed four bits a point, point p at bit 4p, so tallies add
+    up field by field; a line's tally also holds 1 at ``NEGATIVE_BIT`` if the
+    line is negative."""
+    return sum(1 << 4 * p for p in points)
 
 
 def _mask_points(mask: int) -> tuple[int, ...]:
@@ -136,25 +147,7 @@ class Flag(NamedTuple):
     affine: tuple[int, int, int, int]  # the plane's points off the line, sorted
     sign: int  # sign of the product of those four points
     negative_lines: int  # the plane's negative lines other than this one
-
-
-#: bit offset of the negative-line count in a line's tally (see ContextTables)
-NEGATIVE_BIT = 256
-
-
-class ContextTables(NamedTuple):
-    """What the configuration a pentad hosts is read from, one entry per flag,
-    line, plane or point.
-
-    A tally counts points four bits a point, point p at bit 4p, so tallies add
-    up field by field; a line's tally also holds 1 at ``NEGATIVE_BIT`` if the
-    line is negative.
-    """
-
-    flag_lines: dict[tuple[int, int], tuple[int, ...]]  # the plane's six other lines
-    line_tally: list[int]  # by line id: its three points and its sign
-    plane_tally: list[int]  # by plane id: its seven points
-    point_tally: list[int]  # by point id: the point alone
+    lines: tuple[int, ...]  # the plane's six other line ids, in plane.lines order
 
 
 def _sign_of_points(points: Sequence[int]) -> int:
@@ -290,11 +283,12 @@ def affine_part(plane: Plane, line: Line) -> tuple[int, int, int, int]:
 
 
 class Space:
-    """The fully indexed labeled polar space: points, lines, planes, incidence.
+    """The labeled polar space: points, lines, planes, flags, incidence queries.
 
     Construction enumerates everything once, except ``plane_meets``,
-    ``pair_lines`` and ``contexts``, which are built on first use; afterwards
-    the object is immutable in practice and safe to share.
+    ``pair_lines``, ``line_tally`` and ``plane_tally``, which are built on
+    first use; afterwards the object is immutable in practice and safe to
+    share.
     """
 
     points: tuple[Observable, ...]
@@ -305,33 +299,18 @@ class Space:
         self.points = OBSERVABLES
         self.lines = enumerate_lines()
         self.planes = enumerate_planes(self.lines)
-        self.line_masks = tuple(line.mask for line in self.lines)
         self.plane_masks = tuple(plane.mask for plane in self.planes)
         #: the 945 flags, keyed by (plane id, line id); a pentad is five of
-        #: them, so its edges, signs and negative counts are read from here
+        #: them, so its edges, signs, negative counts and contexts are read here
         self.flags: dict[tuple[int, int], Flag] = {}
         for plane_id, plane in enumerate(self.planes):
             negative = {lid for lid in plane.lines if self.lines[lid].sign < 0}
-            for lid in plane.lines:
-                quad = _mask_points(self.plane_masks[plane_id] ^ self.line_masks[lid])
+            for i, lid in enumerate(plane.lines):
+                quad = _mask_points(self.plane_masks[plane_id] ^ self.lines[lid].mask)
                 n = len(negative) - (lid in negative)
-                self.flags[plane_id, lid] = Flag(quad, _sign_of_points(quad), n)
-        self._line_id_by_mask = {m: i for i, m in enumerate(self.line_masks)}
+                others = plane.lines[:i] + plane.lines[i + 1 :]
+                self.flags[plane_id, lid] = Flag(quad, _sign_of_points(quad), n, others)
         self._plane_id_by_mask = {m: i for i, m in enumerate(self.plane_masks)}
-        lines_by_point: list[list[int]] = [[] for _ in range(64)]
-        for line in self.lines:
-            for p in line.points:
-                lines_by_point[p].append(line.line_id)
-        planes_by_point: list[list[int]] = [[] for _ in range(64)]
-        planes_by_line: list[list[int]] = [[] for _ in range(315)]
-        for plane in self.planes:
-            for p in plane.points:
-                planes_by_point[p].append(plane.plane_id)
-            for lid in plane.lines:
-                planes_by_line[lid].append(plane.plane_id)
-        self._lines_by_point = tuple(tuple(v) for v in lines_by_point)
-        self._planes_by_point = tuple(tuple(v) for v in planes_by_point)
-        self._planes_by_line = tuple(tuple(v) for v in planes_by_line)
 
     @cached_property
     def plane_meets(self) -> tuple[list[int], list[bytes]]:
@@ -367,43 +346,39 @@ class Space:
         return tuple(map(tuple, table))
 
     @cached_property
-    def contexts(self) -> ContextTables:
-        """The per-flag context lines and the point tallies of every line,
-        plane and point (:class:`ContextTables`)."""
-        point_tally = [1 << 4 * p for p in range(64)]
-        line_tally = [
-            sum(point_tally[p] for p in line.points) | (line.sign < 0) << NEGATIVE_BIT
-            for line in self.lines
-        ]
-        plane_tally = [sum(point_tally[p] for p in plane.points) for plane in self.planes]
-        flag_lines = {
-            key: tuple(lid for lid in self.planes[key[0]].lines if lid != key[1])
-            for key in self.flags
-        }
-        return ContextTables(flag_lines, line_tally, plane_tally, point_tally)
+    def line_tally(self) -> list[int]:
+        """By line id, the :func:`_tally` of its three points, with 1 at
+        ``NEGATIVE_BIT`` if the line is negative."""
+        return [_tally(line.points) | (line.sign < 0) << NEGATIVE_BIT for line in self.lines]
+
+    @cached_property
+    def plane_tally(self) -> list[int]:
+        """By plane id, the :func:`_tally` of its seven points."""
+        return [_tally(plane.points) for plane in self.planes]
 
     # -- incidence queries ---------------------------------------------------
 
     def lines_through(self, point_id: int) -> tuple[int, ...]:
         self._check_point(point_id)
-        return self._lines_by_point[point_id]
+        return tuple(line.line_id for line in self.lines if point_id in line.points)
 
     def planes_through(self, point_id: int) -> tuple[int, ...]:
         self._check_point(point_id)
-        return self._planes_by_point[point_id]
+        return tuple(plane.plane_id for plane in self.planes if point_id in plane.points)
 
     def planes_on_line(self, line_id: int) -> tuple[int, ...]:
         # bool is an int subclass, but False is not a line id
         if isinstance(line_id, bool) or not isinstance(line_id, int) or not 0 <= line_id < 315:
             raise UnknownId(f"no line with id {line_id!r}")
-        return self._planes_by_line[line_id]
+        return tuple(plane.plane_id for plane in self.planes if line_id in plane.lines)
 
     def line_id_of(self, points: Iterable[int | Observable]) -> int:
         ids = self._as_ids(points)
-        try:
-            return self._line_id_by_mask[_mask_of(ids)]
-        except KeyError:
-            raise UnknownId(f"no line with point set {sorted(ids)}") from None
+        mask = _mask_of(ids)
+        for line in self.lines:
+            if line.mask == mask:
+                return line.line_id
+        raise UnknownId(f"no line with point set {sorted(ids)}")
 
     def plane_id_of(self, points: Iterable[int | Observable]) -> int:
         ids = self._as_ids(points)

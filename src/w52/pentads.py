@@ -26,7 +26,7 @@ ranks in that order.
 Each plane of a pentad with its distinguished line is a flag of
 ``Space.flags``, which holds that plane's pentagram edge and its sign.  The
 configuration's contexts come from :func:`config_contexts`, which reads the
-flag's six other lines from ``Space.contexts`` and checks them by summing
+flag's six other lines from ``Space.flags`` and checks them by summing
 packed point tallies; :func:`pentad_to_config` and the JSON export both call
 it.  The derived sets are views for display, export and verification; the
 pentad CSV sums its counts over the five flags (:func:`negative_counts`) and
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import NEGATIVE_BIT, Space, TaxonomyViolation, _mask_points, _span_mask
+from .geometry import NEGATIVE_BIT, Space, TaxonomyViolation, _mask_points, _span_mask, _tally
 from .pauli import (
     Observable,
     fold_phase,
@@ -129,7 +129,7 @@ class Pentad(NamedTuple):
 
     def _position(self, plane_id: int) -> int:
         try:
-            return self.planes.index(plane_id)
+            return self.planes.index(_check_plane_id(plane_id))
         except ValueError:
             raise ValueError(f"plane {plane_id!r} is not in pentad {self.planes}") from None
 
@@ -269,18 +269,17 @@ def pentad_from_planes(
     space: Space, plane_ids: Sequence[int], pentad_id: int | None = None
 ) -> Pentad:
     """Validate five plane ids as a Fano pentad and assemble it."""
-    ids = sorted(_check_plane_id(space, p) for p in plane_ids)
+    ids = sorted(map(_check_plane_id, plane_ids))
     pentad = _build_pentad(space, ids, pentad_id)
     if pentad is None:
         raise ValueError(f"planes {ids} do not form a Fano pentad")
     return pentad
 
 
-def _check_plane_id(space: Space, plane_id: object) -> int:
+def _check_plane_id(plane_id: object) -> int:
     # bool is an int subclass, but True is not a plane id
-    n = len(space.planes)
-    if isinstance(plane_id, bool) or not isinstance(plane_id, int) or not 0 <= plane_id < n:
-        raise ValueError(f"plane id must be an integer in 0..{n - 1}, got {plane_id!r}")
+    if isinstance(plane_id, bool) or not isinstance(plane_id, int) or not 0 <= plane_id < 135:
+        raise ValueError(f"plane id must be an integer in 0..134, got {plane_id!r}")
     return plane_id
 
 
@@ -321,14 +320,13 @@ def config_contexts(space: Space, pentad: Pentad) -> tuple[list[int], int]:
     hold each meet point six times and every other covered point twice, and
     that the number of negative contexts is odd.  The occurrences and the
     negative count are summed from the tallies of the contexts' own line ids
-    (``Space.contexts``), so they check the lines the caller gets back.
+    (``Space.line_tally``), so they check the lines the caller gets back.
     """
-    tables = space.contexts
-    flag_lines, plane_tally = tables.flag_lines, tables.plane_tally
+    flags, plane_tally = space.flags, space.plane_tally
     line_ids: list[int] = []
     covered = 0  # 1 in the field of every point of the five planes
     for key in zip(pentad.planes, pentad.distinguished_lines):
-        line_ids += flag_lines[key]
+        line_ids += flags[key].lines
         covered |= plane_tally[key[0]]
     line_ids.sort()
     if len(set(line_ids)) != 30:
@@ -337,8 +335,8 @@ def config_contexts(space: Space, pentad: Pentad) -> tuple[list[int], int]:
         raise TaxonomyViolation(
             f"pentad {pentad.planes} covers {covered.bit_count()} points, expected 25"
         )
-    tally = sum(map(tables.line_tally.__getitem__, line_ids))
-    meets = sum(map(tables.point_tally.__getitem__, pentad.meet_points))
+    tally = sum(map(space.line_tally.__getitem__, line_ids))
+    meets = _tally(pentad.meet_points)
     counts, negative = tally & _COUNT_BITS, tally >> NEGATIVE_BIT
     expected = 2 * covered + 4 * meets
     if counts != expected:

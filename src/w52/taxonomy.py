@@ -72,10 +72,6 @@ class PentagramSignature(_PentagramSignatureFields):
         # _replace builds through _make, which would otherwise skip the check
         return cls(*iterable)
 
-    @property
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.negative_edges, self.obs_a, self.obs_b, self.obs_c, self.a_on_negative)
-
 
 class _ConfigSignatureFields(NamedTuple):
     negative_contexts: int
@@ -133,7 +129,7 @@ class ConfigSignature(_ConfigSignatureFields):
             self.planes_a,
             self.planes_b,
             self.planes_c,
-            self.pentagram.as_tuple,
+            self.pentagram,
         )
 
 

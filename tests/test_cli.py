@@ -22,6 +22,32 @@ EXPORT_SHA256 = {
 # SHA-256 of the reference `census --out` file
 CENSUS_SHA256 = "00f28379865f6354d846e5c1a42ef19e54906fd3a424cbc58dd763e820280779"
 
+# SHA-256 of each command's stdout, or of the file it writes when it ends in --out
+OUTPUT_SHA256 = {
+    "show --pentad 4321 --as planes":
+        "487d4b5d8207e6462250269d6739b97a161278ff97b72ee4f9b74dbe2368b1dd",
+    "show --pentad 4321 --as pentagram":
+        "9c16ea99ffefebb9a5632596ade2eb0db2e6be67ddf0f3063b36cd2494500d72",
+    "show --pentad 4321 --as config":
+        "f680722370fe903a7edecdddfef8d1c42a9d430b73281c62c6d7b412d0eaf922",
+    "show --pentad 5 --as config --coords":
+        "2d24c4983939c10c3cdd01c9daf9e059d47338a9ada0dbfe72f25c4ca8b279dc",
+    "table1": "b091c7b2f1483e4dde1177c659c948af97a5ab11ed5140efaeda68e81abcd3fe",
+    "laws": "49fe2fb4dd89b3e9e5c83a915719e9f91f38bd5c56e10d6b94fafdab9e975801",
+    "enumerate points --format csv --out":
+        "90047bdc09aa5b73f668ba714c3cd463e265cbcc18860064e03f5331075762bd",
+    "enumerate points --format json --out":
+        "37c952c2af1e4e53ca7a1394c79f82db1a89d9c03c8466be623c87cfb5bf9bd9",
+    "enumerate lines --format csv --out":
+        "8b980b44ac63e591b55f13ee6b4f380e2407d955187a744a222c4569864f2996",
+    "enumerate lines --format json --out":
+        "91d994ee143bc621ba992b73e8249006ae2e3b0ae9e52eb18dbb1676ef7c9617",
+    "enumerate planes --format csv --out":
+        "e2b9beb23ec914eefe02b3420106b799870be23e25968f9eab5f702e11439977",
+    "enumerate planes --format json --out":
+        "1391058969567c13daacdeb91dfc22b8d0c3f83eac3f9b6a0ffa7b6c3cdd01a4",
+}
+
 CANONICAL_EDGES = [
     ["XII", "IYI", "IIY", "XYY"],
     ["YII", "IXI", "IIY", "YXY"],
@@ -34,6 +60,19 @@ CANONICAL_EDGES = [
 def write_contexts(path, contexts):
     path.write_text(json.dumps({"contexts": contexts}), encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_SHA256))
+def test_output_matches_reference_bytes(capsys, tmp_path, command):
+    argv = command.split()
+    if argv[-1] == "--out":
+        out = tmp_path / "out"
+        assert main(argv + [str(out)]) == 0
+        data = out.read_bytes()
+    else:
+        assert main(argv) == 0
+        data = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[command]
 
 
 class TestEnumerate:

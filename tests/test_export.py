@@ -1,10 +1,11 @@
 """The pentad exports against a second route, the standard json and csv
-modules, and the configuration check against corrupted context tables."""
+modules, and the configuration check against corrupted tables and meets."""
 
 import csv
 import io
 import itertools
 import json
+import re
 
 import pytest
 
@@ -62,17 +63,17 @@ CORRUPTIONS = [
     "flag line -> another of its lines",
     "line tally",
     "plane tally",
-    "point tally",
 ]
 
 
 def corrupt(space, pentads, configs, kind):
-    """Corrupt one entry of ``space.contexts`` read by pentad 4321's first flag;
+    """Corrupt one table entry read by pentad 4321's first flag: its six
+    lines in ``space.flags``, or the tally of its first line or of its plane;
     return the ids of every pentad that reads that entry."""
     sample = pentads[4321]
     plane_id, line_id = sample.planes[0], sample.distinguished_lines[0]
-    tables = space.contexts
-    six = tables.flag_lines[plane_id, line_id]
+    flag = space.flags[plane_id, line_id]
+    six = flag.lines
     point = space.lines[six[0]].points[0]
     if kind.startswith("flag line"):
         off_plane = min(set(range(315)) - set(space.planes[plane_id].lines))
@@ -81,25 +82,22 @@ def corrupt(space, pentads, configs, kind):
             "flag line -> a line off the plane": off_plane,
             "flag line -> another of its lines": six[1],
         }[kind]
-        tables.flag_lines[plane_id, line_id] = (replacement,) + six[1:]
-        flag = plane_id, line_id
-        return {p.pentad_id for p in pentads if flag in zip(p.planes, p.distinguished_lines)}
+        space.flags[plane_id, line_id] = flag._replace(lines=(replacement,) + six[1:])
+        key = plane_id, line_id
+        return {p.pentad_id for p in pentads if key in zip(p.planes, p.distinguished_lines)}
     if kind == "line tally":
-        tables.line_tally[six[0]] += 1 << 4 * point
+        space.line_tally[six[0]] += 1 << 4 * point
         line = space.lines[six[0]].points
         return {p.pentad_id for p, c in zip(pentads, configs) if line in c.contexts}
-    if kind == "plane tally":
-        tables.plane_tally[plane_id] += 1 << 4 * point
-        return {p.pentad_id for p in pentads if plane_id in p.planes}
-    tables.point_tally[sample.meet_points[0]] += 1
-    return {p.pentad_id for p in pentads if sample.meet_points[0] in p.meet_points}
+    space.plane_tally[plane_id] += 1 << 4 * point
+    return {p.pentad_id for p in pentads if plane_id in p.planes}
 
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 def test_corrupt_context_table_fails_exactly_the_pentads_reading_it(pentads, configs, kind):
     space = Space()
     expected = corrupt(space, pentads, configs, kind)
-    assert len(expected) == {"line": 1152, "plane": 448, "point": 1920}.get(kind.split()[0], 64)
+    assert len(expected) == {"line": 1152, "plane": 448}.get(kind.split()[0], 64)
     failed = set()
     for pentad in pentads:
         try:
@@ -114,18 +112,40 @@ def test_corrupt_context_table_fails_exactly_the_pentads_reading_it(pentads, con
             export.dump_pentads(io.StringIO(), space, [pentads[pentad_id]])
 
 
+@pytest.mark.parametrize(
+    "to", ["a point of the plane", "a point off the five planes", "another meet"]
+)
+def test_a_wrong_meet_point_is_rejected(space, pentads, to):
+    # the meets' tally is summed from the pentad's own meet points, so a
+    # pentad that names a wrong one fails the occurrence check
+    sample = pentads[4321]
+    config_contexts(space, sample)
+    meets = sample.meet_points
+    covered = {p for plane_id in sample.planes for p in space.planes[plane_id].points}
+    wrong = {
+        "a point of the plane": min(set(space.planes[sample.planes[0]].points) - set(meets)),
+        "a point off the five planes": min(set(range(1, 64)) - covered),
+        "another meet": meets[1],
+    }[to]
+    bad = sample._replace(meet_points=(wrong,) + meets[1:])
+    message = re.escape(f"contexts of pentad {sample.planes}, expected")
+    with pytest.raises(TaxonomyViolation, match=message):
+        config_contexts(space, bad)
+    with pytest.raises(TaxonomyViolation):
+        export.dump_pentads(io.StringIO(), space, [bad])
+
+
 def test_repeated_contexts_that_keep_every_tally_are_rejected(pentads):
     # In a flag, the two lines through a point x of the distinguished line each
     # hold x and two meets, so giving one of them twice in place of the other
     # moves two meets' counts.  Two such swaps in each of three planes can
     # cancel, sign bits included: then only the distinct-lines check is left.
     space = Space()
-    tables = space.contexts
     sample = pentads[4321]
     flags = list(zip(sample.planes, sample.distinguished_lines))
 
     def swaps(flag):
-        six = tables.flag_lines[flag]
+        six = space.flags[flag].lines
         through = [
             [lid for lid in six if x in space.lines[lid].points]
             for x in space.lines[flag[1]].points
@@ -134,7 +154,7 @@ def test_repeated_contexts_that_keep_every_tally_are_rejected(pentads):
             yield from itertools.product(*[(pair, pair[::-1]) for pair in two])
 
     def shift(swap):
-        return sum(tables.line_tally[kept] - tables.line_tally[dropped] for kept, dropped in swap)
+        return sum(space.line_tally[kept] - space.line_tally[dropped] for kept, dropped in swap)
 
     corruption = next(
         zip(chosen, moves)
@@ -144,14 +164,14 @@ def test_repeated_contexts_that_keep_every_tally_are_rejected(pentads):
     )
     before = config_contexts(space, sample)
     for flag, swap in corruption:
-        six = list(tables.flag_lines[flag])
+        six = list(space.flags[flag].lines)
         for kept, dropped in swap:
             six[six.index(dropped)] = kept
-        tables.flag_lines[flag] = tuple(six)
-    line_ids = [lid for flag in flags for lid in tables.flag_lines[flag]]
+        space.flags[flag] = space.flags[flag]._replace(lines=tuple(six))
+    line_ids = [lid for flag in flags for lid in space.flags[flag].lines]
     assert len(set(line_ids)) == 24
-    assert sum(map(tables.line_tally.__getitem__, line_ids)) == sum(
-        map(tables.line_tally.__getitem__, before[0])
+    assert sum(map(space.line_tally.__getitem__, line_ids)) == sum(
+        map(space.line_tally.__getitem__, before[0])
     )
     with pytest.raises(TaxonomyViolation, match="repeated contexts"):
         config_contexts(space, sample)

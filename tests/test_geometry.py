@@ -69,9 +69,9 @@ class TestLines:
 
     def test_pair_lines_name_the_line_through_two_points(self, space):
         expected = {}
-        for mask, line_id in space._line_id_by_mask.items():
-            for p, q in itertools.permutations(_mask_points(mask), 2):
-                expected[p, q] = line_id
+        for line in space.lines:
+            for p, q in itertools.permutations(_mask_points(line.mask), 2):
+                expected[p, q] = line.line_id
         assert len(expected) == 315 * 6
         assert len(space.pair_lines) == 64
         for p, row in enumerate(space.pair_lines):
@@ -247,6 +247,16 @@ class TestIncidence:
         for lid in range(315):
             for pid in space.planes_on_line(lid):
                 assert lid in space.planes[pid].lines
+
+    def test_line_id_of_names_every_line(self, space):
+        for line in space.lines:
+            a, b, c = line.points
+            assert space.line_id_of((c, a, b)) == line.line_id
+            # a repeated point collapses, as in the point set it names
+            assert space.line_id_of((a, b, c, a)) == line.line_id
+        observables = [O("XII"), O("IXI"), O("XXI")]
+        found = space.lines[space.line_id_of(observables)]
+        assert found.points == tuple(sorted(o.point_id for o in observables))
 
     def test_unknown_ids(self, space):
         with pytest.raises(UnknownId):

@@ -1,5 +1,6 @@
 """Pentad enumeration and the pentagram / configuration derivations."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -34,6 +35,12 @@ CANONICAL_EDGES = [
 ]
 
 
+@functools.cache
+def line_id_by_mask(space):
+    """The line ids by point mask, built from ``space.lines`` once per space."""
+    return {line.mask: line.line_id for line in space.lines}
+
+
 def reference_check(space, plane_ids, pentad_id=None):
     """Reference pentad check from the plane masks alone: the Pentad, or why
     the five ids are not one."""
@@ -55,8 +62,9 @@ def reference_check(space, plane_ids, pentad_id=None):
         shared[j] |= inter
         meets.append(inter.bit_length() - 1)
     distinguished = []
+    line_ids = line_id_by_mask(space)
     for mask, part in zip(masks, shared):
-        line_id = space._line_id_by_mask.get(mask ^ part)
+        line_id = line_ids.get(mask ^ part)
         if line_id is None:
             return "shared points include a line"
         distinguished.append(line_id)
@@ -199,7 +207,7 @@ class TestEnumeration:
                 elif not xor:
                     # four distinct points: the line is the rest of the plane
                     assert found is not None
-                    assert space.line_masks[found] == plane.mask ^ _mask_of(four)
+                    assert space.lines[found].mask == plane.mask ^ _mask_of(four)
 
     @pytest.mark.parametrize("to", ["0", "a point of the plane", "a point off the plane"])
     def test_corrupt_meet_fails_exactly_the_pentads_reading_it(self, pentads, to):
@@ -283,6 +291,16 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=named) as excinfo:
             getattr(pentad, method)(*args)
         assert "(2, 4, 16, 82, 134)" in str(excinfo.value)
+
+    @pytest.mark.parametrize("method", ["meet", "shared_points", "distinguished_line"])
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_plane_queries_reject_a_plane_one_that_is_not_an_int(self, pentads, method, bad):
+        # True == 1.0 == 1, so a bare tuple.index would take either for plane 1
+        pentad = next(p for p in pentads if 1 in p.planes)
+        rest = (max(pentad.planes),) if method == "meet" else ()
+        getattr(pentad, method)(1, *rest)
+        with pytest.raises(ValueError, match=f"plane {bad!r} is not in pentad"):
+            getattr(pentad, method)(bad, *rest)
 
 
 class TestPentagrams:
