@@ -35,13 +35,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     space = Space()
     if args.object == "points":
         rows = export.points_table(space, coords=args.coords)
-        columns = ["id", "word", "type"] + (["coords"] if args.coords else [])
     elif args.object == "lines":
         rows = export.lines_table(space)
-        columns = ["id", "points", "sign"]
     elif args.object == "planes":
         rows = export.planes_table(space)
-        columns = ["id", "points", "sign", "class", "b_line"]
     else:
         pentads = enumerate_pentads(space)
         if args.out:
@@ -54,7 +51,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.format == "json":
             _write_or_print(export.render_json(rows), args.out)
         else:
-            _write_or_print(export.render_csv(rows, columns), args.out)
+            _write_or_print(export.render_csv(rows), args.out)
     print(len(rows))
     return EXIT_OK
 

@@ -85,8 +85,12 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def render_csv(rows: Sequence[dict], columns: Sequence[str]) -> str:
-    """CSV with list-valued fields joined by single spaces."""
+def render_csv(rows: Sequence[dict]) -> str:
+    """CSV with the first row's keys as columns and list-valued fields joined
+    by single spaces; no rows give an empty text."""
+    if not rows:
+        return ""
+    columns = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

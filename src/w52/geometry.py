@@ -39,6 +39,7 @@ from .pauli import (
     TYPE_OF,
     Observable,
     ObservableType,
+    _is_id,
     fold_phase,
     sign_from_phase,
 )
@@ -161,13 +162,8 @@ def enumerate_lines() -> tuple[Line, ...]:
     """All 315 isotropic lines, sorted by point triple; ids are the ranks."""
     triples = set()
     for a in range(1, 64):
-        mask = COMMUTE_MASK[a] >> (a + 1)
-        b = a + 1
-        while mask:
-            if mask & 1:
-                triples.add(tuple(sorted((a, b, a ^ b))))
-            mask >>= 1
-            b += 1
+        for b in _mask_points(COMMUTE_MASK[a] >> (a + 1) << (a + 1)):
+            triples.add(tuple(sorted((a, b, a ^ b))))
     lines = tuple(
         Line(i, pts, _sign_of_points(pts)) for i, pts in enumerate(sorted(triples))
     )
@@ -367,8 +363,7 @@ class Space:
         return tuple(plane.plane_id for plane in self.planes if point_id in plane.points)
 
     def planes_on_line(self, line_id: int) -> tuple[int, ...]:
-        # bool is an int subclass, but False is not a line id
-        if isinstance(line_id, bool) or not isinstance(line_id, int) or not 0 <= line_id < 315:
+        if not _is_id(line_id, 0, 314):
             raise UnknownId(f"no line with id {line_id!r}")
         return tuple(plane.plane_id for plane in self.planes if line_id in plane.lines)
 
@@ -405,6 +400,5 @@ class Space:
 
     @staticmethod
     def _check_point(point_id: int) -> None:
-        # bool is an int subclass, but True is not a point id
-        if isinstance(point_id, bool) or not isinstance(point_id, int) or not 1 <= point_id <= 63:
+        if not _is_id(point_id, 1, 63):
             raise UnknownId(f"no point with id {point_id!r}")

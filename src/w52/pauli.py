@@ -163,9 +163,14 @@ class Observable(_ObservableFields):
         return f"Observable({self.point_id}, {self.word!r})"
 
 
+def _is_id(value: object, low: int, high: int) -> bool:
+    """True iff ``value`` is an int in ``low..high``; bool is an int subclass,
+    but True is not an id."""
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+
+
 def _check_point_id(point_id: object) -> None:
-    # bool is an int subclass, but True is not a point id
-    if isinstance(point_id, bool) or not isinstance(point_id, int) or not 1 <= point_id <= 63:
+    if not _is_id(point_id, 1, 63):
         raise ValueError(f"point id must be an integer in 1..63, got {point_id!r}")
 
 

@@ -33,6 +33,10 @@ pentad CSV sums its counts over the five flags (:func:`negative_counts`) and
 the census reads its own table in :mod:`w52.taxonomy`.  The tests check both
 tables against both sets derived for every pentad, so the derivations'
 checks still cover the whole census.
+
+The pentagram round trip has no context check of its own: the parity-proof
+verifier (:mod:`w52.contextuality`) checks :func:`pentagram_from_edges`, and
+the flag table checks :func:`pentagram_to_pentad`.
 """
 
 from __future__ import annotations
@@ -40,13 +44,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import NEGATIVE_BIT, Space, TaxonomyViolation, _mask_points, _span_mask, _tally
-from .pauli import (
-    Observable,
-    fold_phase,
-    parse_observable,
-    sign_from_phase,
-    _symplectic_bits,
-)
+from .contextuality import ContextSet, Verdict, WASymbol, analyze, wa_symbol
+from .pauli import Observable, PauliError, _is_id, parse_observable
 
 __all__ = [
     "Pentad",
@@ -70,6 +69,9 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)
 
 # the point-count fields of a context tally, below its negative count
 _COUNT_BITS = (1 << NEGATIVE_BIT) - 1
+
+# ten observables on two contexts each, five contexts of four: 10_2 − 5_4
+_PENTAGRAM_SYMBOL = WASymbol(((2, 10),), ((4, 5),))
 
 
 class NotAPentagram(ValueError):
@@ -277,8 +279,7 @@ def pentad_from_planes(
 
 
 def _check_plane_id(plane_id: object) -> int:
-    # bool is an int subclass, but True is not a plane id
-    if isinstance(plane_id, bool) or not isinstance(plane_id, int) or not 0 <= plane_id < 135:
+    if not _is_id(plane_id, 0, 134):
         raise ValueError(f"plane id must be an integer in 0..134, got {plane_id!r}")
     return plane_id
 
@@ -374,66 +375,50 @@ def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
 # pentagram round trip
 
 
-def _normalize_edges(
-    edges: Iterable[Iterable[Observable | str]],
-) -> list[tuple[int, ...]]:
-    rows = []
-    for edge in edges:
-        ids = []
-        for o in edge:
-            if isinstance(o, str):
-                o = parse_observable(o)
-            ids.append(o.point_id)
-        rows.append(tuple(sorted(ids)))
-    rows.sort()
-    return rows
-
-
-def _validate_pentagram_edges(rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], list[int]]:
-    if len(rows) != 5:
-        raise NotAPentagram(f"expected 5 edges, got {len(rows)}")
-    counts: dict[int, int] = {}
-    signs = []
-    for row in rows:
-        if len(row) != 4 or len(set(row)) != 4:
-            raise NotAPentagram(f"edge {row} is not four distinct observables")
-        for i, a in enumerate(row):
-            counts[a] = counts.get(a, 0) + 1
-            for b in row[i + 1 :]:
-                if _symplectic_bits(a, b):
-                    raise NotAPentagram(f"edge {row} is not mutually commuting")
-        k, xor = fold_phase(row)
-        if xor:
-            raise NotAPentagram(f"edge {row} does not multiply to +/-identity")
-        signs.append(sign_from_phase(k))
-    if len(counts) != 10 or any(c != 2 for c in counts.values()):
-        raise NotAPentagram("occurrence profile is not 10 observables twice each")
-    if sum(1 for s in signs if s < 0) % 2 == 0:
-        raise NotAPentagram("number of negative edges is even")
-    return tuple(sorted(counts)), signs
-
-
 def pentagram_from_edges(edges: Iterable[Iterable[Observable | str]]) -> Pentagram:
-    """Build a Pentagram from five 4-element contexts, validating everything."""
-    rows = _normalize_edges(edges)
-    observables, signs = _validate_pentagram_edges(rows)
-    return Pentagram(observables, tuple(rows), tuple(signs))
+    """Build a Pentagram from five 4-element contexts, validating everything.
+
+    The edges are a pentagram exactly when :func:`analyze` finds a valid
+    parity proof and :func:`wa_symbol` reads ``10_2 − 5_4``; otherwise
+    :class:`NotAPentagram`.  A word that does not parse raises the parser's
+    own error.
+    """
+    rows = sorted(
+        tuple(sorted((parse_observable(o) if isinstance(o, str) else o).point_id for o in edge))
+        for edge in edges
+    )
+    try:
+        context_set = ContextSet.from_point_ids(rows)
+    except PauliError as exc:
+        raise NotAPentagram(f"edges {rows}: {exc}") from None
+    report, symbol = analyze(context_set), wa_symbol(context_set)
+    if report.verdict is not Verdict.VALID_PARITY_PROOF or symbol != _PENTAGRAM_SYMBOL:
+        raise NotAPentagram(f"edges {rows} are {report.verdict} with symbol {symbol}")
+    return Pentagram(
+        tuple(o.point_id for o in report.occurrence_counts),
+        tuple(rows),
+        tuple(r.sign for r in report.contexts),
+    )
 
 
 def pentagram_to_pentad(space: Space, pentagram: Pentagram) -> Pentad:
     """Close each edge under XOR into a Fano plane and assemble the pentad.
 
-    Inverts :func:`pentad_to_pentagram`; the input is revalidated from its
-    edges, so a hand-built Pentagram is checked before being trusted.
+    Inverts :func:`pentad_to_pentagram` and is checked by it: the pentad's
+    own pentagram, read from ``Space.flags``, must equal the input up to the
+    order of the edges and of the points in an edge, signs and observables
+    included.  Edges that are not five sets of four point ids, or that do not
+    close into the planes of a pentad, are rejected before that.
     """
     rows = [tuple(sorted(edge)) for edge in pentagram.edges]
-    _validate_pentagram_edges(sorted(rows))
+    if len(rows) != 5 or any(
+        len(row) != 4 or len(set(row)) != 4 or not all(_is_id(p, 1, 63) for p in row)
+        for row in rows
+    ):
+        raise NotAPentagram(f"edges {rows} are not five sets of four point ids")
     plane_ids = []
     for row in rows:
-        plane_mask = _span_mask(*row[:3])
-        if plane_mask & 1 or plane_mask.bit_count() != 7:
-            raise ClosureNotIsotropicPlane(f"closure of edge {row} is degenerate")
-        plane_id = space._plane_id_by_mask.get(plane_mask)
+        plane_id = space._plane_id_by_mask.get(_span_mask(*row[:3]))
         if plane_id is None:
             raise ClosureNotIsotropicPlane(
                 f"closure of edge {row} is not a totally isotropic plane"
@@ -442,4 +427,11 @@ def pentagram_to_pentad(space: Space, pentagram: Pentagram) -> Pentad:
     pentad = _build_pentad(space, sorted(plane_ids))
     if pentad is None:
         raise NotAPentagram(f"edge closures {sorted(plane_ids)} do not form a Fano pentad")
+    derived = pentad_to_pentagram(space, pentad)
+    if (
+        len(pentagram.edge_signs) != 5
+        or sorted(zip(rows, pentagram.edge_signs)) != list(zip(derived.edges, derived.edge_signs))
+        or pentagram.observables != derived.observables
+    ):
+        raise NotAPentagram(f"signs or observables of {pentagram} contradict {pentad.planes}")
     return pentad

@@ -189,3 +189,9 @@ def test_dump_pentad_csv_matches_csv_module(space, pentads):
         writer.writerow([pentad.pentad_id, " ".join(map(str, pentad.planes)),
                          *negative_counts(space, pentad)])
     assert buf.getvalue() == expected.getvalue()
+
+
+def test_render_csv_takes_its_columns_from_the_first_row():
+    rows = [{"id": 1, "points": ["XII", "IXI"]}, {"id": 2, "points": ["YII"]}]
+    assert export.render_csv(rows) == "id,points\n1,XII IXI\n2,YII\n"
+    assert export.render_csv([]) == ""

@@ -268,7 +268,7 @@ class TestIncidence:
         with pytest.raises(UnknownId):
             space.line_id_of([1, 2, 4])  # not a line: 1^2=3 not 4
 
-    @pytest.mark.parametrize("bad", [True, -1, 64, "XII"])
+    @pytest.mark.parametrize("bad", [True, -1, 64, 1.0, "XII"])
     def test_bad_point_ids_are_unknown(self, space, bad):
         # bool is an int subclass, and a negative id indexes or shifts from the end
         calls = [
@@ -282,7 +282,7 @@ class TestIncidence:
             with pytest.raises(UnknownId):
                 call()
 
-    @pytest.mark.parametrize("bad", [True, False, -1, 315, "XII"])
+    @pytest.mark.parametrize("bad", [True, False, -1, 315, 1.0, "XII"])
     def test_bad_line_ids_are_unknown(self, space, bad):
         with pytest.raises(UnknownId):
             space.planes_on_line(bad)

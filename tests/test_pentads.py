@@ -6,6 +6,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from w52.geometry import Space, _mask_of
 from w52.pentads import (
@@ -421,3 +422,40 @@ class TestPentagramValidation:
         tampered = Pentagram(g.observables, g.edges[:4] + ((1, 2, 3, 4),), g.edge_signs)
         with pytest.raises((NotAPentagram, ClosureNotIsotropicPlane)):
             pentagram_to_pentad(space, tampered)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"edge_signs": (1, 1, 1, 1, 1)}, {"observables": (1, 2, 3)}],
+        ids=["no negative edge", "three observables"],
+    )
+    def test_signs_and_observables_must_match_the_edges(self, space, pentads, changes):
+        g = pentad_to_pentagram(space, pentads[4321])
+        with pytest.raises(NotAPentagram):
+            pentagram_to_pentad(space, g._replace(**changes))
+
+    def test_edge_and_point_order_do_not_matter(self, space, pentads):
+        g = pentad_to_pentagram(space, pentads[4321])
+        reversed_g = Pentagram(
+            g.observables, tuple(edge[::-1] for edge in g.edges[::-1]), g.edge_signs[::-1]
+        )
+        assert pentagram_to_pentad(space, reversed_g) == pentads[4321]
+
+    @given(
+        position=st.integers(0, 4),
+        ids=st.lists(st.integers(-3, 69), max_size=5),
+        kept=st.integers(0, 5),
+    )
+    @example(position=4, ids=[30, 38, 46, 64], kept=5)  # 64 is past the last point id
+    @example(position=0, ids=[-1, 17, 20, 43], kept=5)  # a negative shift raises ValueError
+    def test_a_malformed_edge_raises_only_pentagram_errors(
+        self, space, pentads, position, ids, kept
+    ):
+        # one edge replaced by ids, then only the first ``kept`` edges kept
+        g = pentad_to_pentagram(space, pentads[4321])
+        edges = (g.edges[:position] + (tuple(ids),) + g.edges[position + 1 :])[:kept]
+        try:
+            pentad = pentagram_to_pentad(space, g._replace(edges=edges))
+        except (NotAPentagram, ClosureNotIsotropicPlane):
+            return
+        assert sorted(map(sorted, edges)) == sorted(map(sorted, g.edges))
+        assert pentad == pentads[4321]
