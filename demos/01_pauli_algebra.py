@@ -3,8 +3,8 @@
 
 Observables are 3-letter words over {I,X,Y,Z}; each is a point of W(5,2),
 encoded in GF(2)^6 and packed into an integer id.  Multiplication tracks
-the i-exponent exactly, and everything can be cross-checked against dense
-8x8 matrices.
+the i-exponent exactly; one product is cross-checked against dense 8x8
+matrices built here with numpy.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from w52 import (
     OBSERVABLES,
     commutes,
     context_sign,
-    dense_matrix,
     multiply,
     observable_type,
     parse_observable,
@@ -41,9 +40,21 @@ a, b = parse_observable("XXI"), parse_observable("YYI")
 k, product = multiply(a, b)
 print(f"{a} . {b} = i^{k} {product}")
 
-# cross-check against the dense oracle
-dense = dense_matrix(a) @ dense_matrix(b)
-assert np.array_equal(dense, (1j**k) * dense_matrix(product))
+# cross-check against dense matrices, the Kronecker products of 2x2 factors
+PAULI_2X2 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def dense(observable):
+    g1, g2, g3 = (PAULI_2X2[letter] for letter in observable.word)
+    return np.kron(np.kron(g1, g2), g3)
+
+
+assert np.array_equal(dense(a) @ dense(b), (1j**k) * dense(product))
 
 # --- context signs ----------------------------------------------------------
 

@@ -22,7 +22,6 @@ from .pauli import (
     PauliLetter,
     commutes,
     context_sign,
-    dense_matrix,
     format_observable,
     from_point_id,
     multiply,

@@ -10,13 +10,8 @@ the most significant bit; that integer doubles as the canonical total order
 on observables, and XOR of ids is multiplication up to phase.
 
 Phases are tracked exactly as integer exponents of i (mod 4) via per-factor
-lookup tables.  Dense 8x8 complex matrices are available as an independent
-cross-check oracle and are not used on any enumeration path; numpy is
-imported only when one is built.
-
-Words are looked up in ``WORDS``, a table built once at import from the bit
-layout.  ``Observable.letters`` and the dense matrices still go through
-``PauliLetter``, so the oracle does not depend on that table.
+lookup tables, and words are looked up in ``WORDS``, a table built once at
+import from the bit layout.
 
 Only the three-qubit case is built and exposed; the tables are hardwired to
 three factor slots.
@@ -25,10 +20,7 @@ three factor slots.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "PauliLetter",
@@ -45,7 +37,6 @@ __all__ = [
     "multiply",
     "context_sign",
     "sign_from_phase",
-    "dense_matrix",
     "PauliError",
     "BadLength",
     "InvalidLetter",
@@ -100,13 +91,6 @@ class PauliLetter(enum.Enum):
     def x(self) -> int:
         return self.value[1]
 
-    @classmethod
-    def from_bits(cls, z: int, x: int) -> "PauliLetter":
-        return _LETTER_BY_BITS[(z, x)]
-
-
-_LETTER_BY_BITS = {letter.value: letter for letter in PauliLetter}
-
 
 class ObservableType(enum.Enum):
     """Observable class by identity-factor count: A = two I's, B = one, C = none."""
@@ -144,13 +128,6 @@ class Observable(_ObservableFields):
         """The vector (x1,...,x6) over GF(2)."""
         pid = self.point_id
         return tuple((pid >> k) & 1 for k in range(5, -1, -1))  # type: ignore[return-value]
-
-    @property
-    def letters(self) -> tuple[PauliLetter, PauliLetter, PauliLetter]:
-        pid = self.point_id
-        return tuple(
-            PauliLetter.from_bits((pid >> (5 - j)) & 1, (pid >> (2 - j)) & 1) for j in range(3)
-        )  # type: ignore[return-value]
 
     @property
     def word(self) -> str:
@@ -365,17 +342,3 @@ def context_sign(observables: Sequence[Observable]) -> int:
         raise PauliError(f"sign of {[str(o) for o in observables]} depends on their order")
     return sign_from_phase(k)
 
-
-def dense_matrix(observable: Observable) -> np.ndarray:
-    """The 8x8 matrix G1 (x) G2 (x) G3; the independent cross-check oracle."""
-    # imported here so that only the oracle, never a w52 command, loads numpy
-    import numpy as np
-
-    letters = {
-        PauliLetter.I: np.array([[1, 0], [0, 1]], dtype=complex),
-        PauliLetter.X: np.array([[0, 1], [1, 0]], dtype=complex),
-        PauliLetter.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-        PauliLetter.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    g1, g2, g3 = (letters[g] for g in observable.letters)
-    return np.kron(np.kron(g1, g2), g3)

@@ -375,18 +375,17 @@ def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
 # pentagram round trip
 
 
-def pentagram_from_edges(edges: Iterable[Iterable[Observable | str]]) -> Pentagram:
+def pentagram_from_edges(edges: Iterable[Iterable[Observable | str | int]]) -> Pentagram:
     """Build a Pentagram from five 4-element contexts, validating everything.
 
-    The edges are a pentagram exactly when :func:`analyze` finds a valid
-    parity proof and :func:`wa_symbol` reads ``10_2 − 5_4``; otherwise
-    :class:`NotAPentagram`.  A word that does not parse raises the parser's
-    own error.
+    An edge item is an :class:`Observable`, a Pauli word or a point id in
+    1..63, the form ``Pentagram.edges`` itself uses.  The edges are a
+    pentagram exactly when :func:`analyze` finds a valid parity proof and
+    :func:`wa_symbol` reads ``10_2 − 5_4``; otherwise, and for any other
+    item, :class:`NotAPentagram`.  A word that does not parse raises the
+    parser's own error.
     """
-    rows = sorted(
-        tuple(sorted((parse_observable(o) if isinstance(o, str) else o).point_id for o in edge))
-        for edge in edges
-    )
+    rows = sorted(tuple(sorted(map(_edge_point, _items(edge)))) for edge in _items(edges))
     try:
         context_set = ContextSet.from_point_ids(rows)
     except PauliError as exc:
@@ -410,12 +409,13 @@ def pentagram_to_pentad(space: Space, pentagram: Pentagram) -> Pentad:
     included.  Edges that are not five sets of four point ids, or that do not
     close into the planes of a pentad, are rejected before that.
     """
-    rows = [tuple(sorted(edge)) for edge in pentagram.edges]
+    rows = [_items(edge) for edge in _items(pentagram.edges)]
     if len(rows) != 5 or any(
-        len(row) != 4 or len(set(row)) != 4 or not all(_is_id(p, 1, 63) for p in row)
+        len(row) != 4 or not all(_is_id(p, 1, 63) for p in row) or len(set(row)) != 4
         for row in rows
     ):
         raise NotAPentagram(f"edges {rows} are not five sets of four point ids")
+    rows = [tuple(sorted(row)) for row in rows]
     plane_ids = []
     for row in rows:
         plane_id = space._plane_id_by_mask.get(_span_mask(*row[:3]))
@@ -428,10 +428,30 @@ def pentagram_to_pentad(space: Space, pentagram: Pentagram) -> Pentad:
     if pentad is None:
         raise NotAPentagram(f"edge closures {sorted(plane_ids)} do not form a Fano pentad")
     derived = pentad_to_pentagram(space, pentad)
+    signs = _items(pentagram.edge_signs)
     if (
-        len(pentagram.edge_signs) != 5
-        or sorted(zip(rows, pentagram.edge_signs)) != list(zip(derived.edges, derived.edge_signs))
+        len(signs) != 5
+        or sorted(zip(rows, signs)) != list(zip(derived.edges, derived.edge_signs))
         or pentagram.observables != derived.observables
     ):
         raise NotAPentagram(f"signs or observables of {pentagram} contradict {pentad.planes}")
     return pentad
+
+
+def _items(value: object) -> tuple:
+    """The items of an edge list, an edge or a sign list."""
+    try:
+        return tuple(value)  # type: ignore[call-overload]
+    except TypeError:
+        raise NotAPentagram(f"{value!r} is not a sequence") from None
+
+
+def _edge_point(item: object) -> int:
+    """The point id of an edge item: an Observable, a Pauli word or an id."""
+    if isinstance(item, Observable):
+        return item.point_id
+    if isinstance(item, str):
+        return parse_observable(item).point_id
+    if not _is_id(item, 1, 63):
+        raise NotAPentagram(f"edge item {item!r} is not an observable, a Pauli word or a point id")
+    return item  # type: ignore[return-value]

@@ -1,12 +1,18 @@
 """The generic parity-proof verifier and the occurrence/size symbol."""
 
+import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from w52.contextuality import ContextSet, Verdict, analyze, wa_symbol
 from w52.pauli import DuplicateObservable, InvalidLetter, PauliError
+from w52.pentads import pentad_to_pentagram
+
+from conftest import IDENTITY8, dense_commutes, dense_product, dense_sign
 
 CANONICAL_EDGES = [
     ["XII", "IYI", "IIY", "XYY"],
@@ -114,3 +120,56 @@ class TestWASymbol:
         points = sum(k * n for k, n in symbol.point_part)
         contexts = sum(s * m for s, m in symbol.context_part)
         assert points == contexts == sum(len(r) for r in rows)
+
+
+def dense_context(ids):
+    """Oracle: (commuting, closed, sign) of a context, from 8x8 products."""
+    commuting = all(dense_commutes(a, b) for a, b in itertools.combinations(ids, 2))
+    product = dense_product(ids)
+    closed = any(np.array_equal(product, phase * IDENTITY8) for phase in (1, 1j, -1, -1j))
+    return commuting, closed, (dense_sign(ids) if commuting and closed else None)
+
+
+@pytest.fixture(scope="module")
+def context_sets(space, pentads):
+    """Sets of 1-6 contexts of 1-5 point ids, leaning towards well-formed ones.
+
+    A context is a line or an affine quadruple of a plane (pentagram edges
+    among them), a triple {a, b, a^b} in any order (a line when a and b
+    commute, closed but not commuting otherwise), or a random set; a set is
+    a list of those, or a whole pentagram with at most one more context.
+    """
+    point = st.integers(1, 63)
+    well_formed = [line.points for line in space.lines]
+    well_formed += [flag.affine for flag in space.flags.values()]
+    context = st.one_of(
+        st.sampled_from(well_formed),
+        st.lists(point, min_size=2, max_size=2, unique=True).map(lambda ab: (*ab, ab[0] ^ ab[1])),
+        st.lists(point, min_size=1, max_size=5, unique=True),
+    )
+    pentagram = st.sampled_from(pentads).map(lambda p: pentad_to_pentagram(space, p).edges)
+    return st.one_of(
+        st.lists(context, min_size=1, max_size=6),
+        st.tuples(pentagram, st.lists(context, max_size=1)).map(lambda t: [*t[0], *t[1]]),
+    )
+
+
+class TestDenseOracle:
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_analyze_agrees_with_the_dense_oracle(self, context_sets, data):
+        rows = data.draw(context_sets)
+        report = analyze(ContextSet.from_point_ids(rows))
+
+        expected = [dense_context(row) for row in rows]
+        assert [(r.commuting, r.closed, r.sign) for r in report.contexts] == expected
+        negative = sum(1 for *_, sign in expected if sign == -1)
+        assert report.negative_count == negative
+        counts = Counter(p for row in rows for p in row)
+        if any(sign is None for *_, sign in expected):
+            verdict = Verdict.MALFORMED_CONTEXT
+        elif all(c % 2 == 0 for c in counts.values()) and negative % 2 == 1:
+            verdict = Verdict.VALID_PARITY_PROOF
+        else:
+            verdict = Verdict.NOT_CONTEXTUAL
+        assert report.verdict is verdict

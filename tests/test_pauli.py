@@ -24,7 +24,6 @@ from w52.pauli import (
     WORDS,
     commutes,
     context_sign,
-    dense_matrix,
     format_observable,
     from_point_id,
     multiply,
@@ -33,7 +32,7 @@ from w52.pauli import (
     symplectic_form,
 )
 
-from conftest import DENSE, IDENTITY8, dense_commutes
+from conftest import DENSE, IDENTITY8, PAULI_2X2, dense_commutes, dense_matrix
 
 observables = st.sampled_from(OBSERVABLES)
 
@@ -82,9 +81,11 @@ class TestParseFormat:
             assert parse_observable(format_observable(o)) == o
 
     def test_words_table_matches_letters(self):
+        # the oracle reads each qubit's letter off the coordinates, not WORDS
         assert len(WORDS) == 63
         for i, o in enumerate(OBSERVABLES):
-            assert WORDS[i] == "".join(letter.name for letter in o.letters)
+            g1, g2, g3 = (PAULI_2X2[letter] for letter in WORDS[i])
+            assert np.array_equal(DENSE[o.point_id], np.kron(np.kron(g1, g2), g3))
             assert parse_observable(WORDS[i]) is o
 
     def test_format_examples(self):
@@ -224,7 +225,7 @@ class TestContextSign:
 class TestDenseMatrix:
     def test_squares_to_identity_and_traceless(self):
         for o in OBSERVABLES:
-            m = dense_matrix(o)
+            m = dense_matrix(o.point_id)
             assert np.array_equal(m @ m, IDENTITY8)
             assert m.trace() == 0
 
@@ -232,9 +233,9 @@ class TestDenseMatrix:
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         y = np.array([[0, -1j], [1j, 0]], dtype=complex)
         z = np.array([[1, 0], [0, -1]], dtype=complex)
-        assert np.array_equal(dense_matrix(O("XYZ")), np.kron(np.kron(x, y), z))
+        assert np.array_equal(dense_matrix(O("XYZ").point_id), np.kron(np.kron(x, y), z))
 
     def test_hermitian(self):
         for o in OBSERVABLES:
-            m = dense_matrix(o)
+            m = dense_matrix(o.point_id)
             assert np.array_equal(m, m.conj().T)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from w52.geometry import Space, _mask_of
+from w52.pauli import OBSERVABLES, WORDS
 from w52.pentads import (
     ClosureNotIsotropicPlane,
     NotAPentagram,
@@ -398,11 +399,19 @@ class TestRoundTrip:
         for pentad, g in zip(pentads, pentagrams):
             assert pentagram_to_pentad(space, g) == pentad
 
+    def test_edges_as_point_ids_rebuild_the_pentagram(self, pentagrams):
+        g = pentagrams[4321]
+        assert pentagram_from_edges(g.edges) == g
+
 
 class TestPentagramValidation:
     def test_wrong_edge_count(self):
         with pytest.raises(NotAPentagram):
             pentagram_from_edges(CANONICAL_EDGES[:4])
+
+    def test_edges_that_are_no_sequence(self):
+        with pytest.raises(NotAPentagram):
+            pentagram_from_edges(None)
 
     def test_non_commuting_edge(self):
         bad = [list(e) for e in CANONICAL_EDGES]
@@ -425,8 +434,16 @@ class TestPentagramValidation:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"edge_signs": (1, 1, 1, 1, 1)}, {"observables": (1, 2, 3)}],
-        ids=["no negative edge", "three observables"],
+        [
+            {"edge_signs": (1, 1, 1, 1, 1)},
+            {"observables": (1, 2, 3)},
+            {"edge_signs": None},
+            {"edges": None},
+            # pentad 4321's edges, with one point written as its word
+            {"edges": ((17, 20, 43, 46), (17, 21, 26, 30), (20, 21, 38, 39),
+                       (22, 26, 39, 43), (22, 30, 38, "YXZ"))},
+        ],
+        ids=["no negative edge", "three observables", "no signs", "no edges", "a word among ids"],
     )
     def test_signs_and_observables_must_match_the_edges(self, space, pentads, changes):
         g = pentad_to_pentagram(space, pentads[4321])
@@ -442,17 +459,41 @@ class TestPentagramValidation:
 
     @given(
         position=st.integers(0, 4),
-        ids=st.lists(st.integers(-3, 69), max_size=5),
+        edge=st.one_of(
+            st.lists(
+                st.one_of(
+                    st.integers(-3, 69),
+                    st.sampled_from(WORDS),
+                    st.sampled_from(OBSERVABLES),
+                    st.none(),
+                    st.booleans(),
+                    st.lists(st.integers(1, 63), max_size=2),
+                ),
+                max_size=5,
+            ).map(tuple),
+            st.none(),
+            st.integers(),
+        ),
         kept=st.integers(0, 5),
     )
-    @example(position=4, ids=[30, 38, 46, 64], kept=5)  # 64 is past the last point id
-    @example(position=0, ids=[-1, 17, 20, 43], kept=5)  # a negative shift raises ValueError
+    @example(position=4, edge=(30, 38, 46, 64), kept=5)  # 64 is past the last point id
+    @example(position=0, edge=(-1, 17, 20, 43), kept=5)  # a negative shift raises ValueError
+    @example(position=4, edge=(22, 30, 38, "YXZ"), kept=5)  # the right edge, one word in it
+    @example(position=4, edge=(22, 30, 38, [46]), kept=5)
+    @example(position=4, edge=(22, 30, 38, True), kept=5)
+    @example(position=4, edge=None, kept=5)
     def test_a_malformed_edge_raises_only_pentagram_errors(
-        self, space, pentads, position, ids, kept
+        self, space, pentads, position, edge, kept
     ):
-        # one edge replaced by ids, then only the first ``kept`` edges kept
+        # one edge replaced, then only the first ``kept`` edges kept; the
+        # edges must build pentad 4321's pentagram or be rejected, whether
+        # their items are point ids, words or observables
         g = pentad_to_pentagram(space, pentads[4321])
-        edges = (g.edges[:position] + (tuple(ids),) + g.edges[position + 1 :])[:kept]
+        edges = (g.edges[:position] + (edge,) + g.edges[position + 1 :])[:kept]
+        try:
+            assert pentagram_from_edges(edges) == g
+        except NotAPentagram:
+            pass
         try:
             pentad = pentagram_to_pentad(space, g._replace(edges=edges))
         except (NotAPentagram, ClosureNotIsotropicPlane):

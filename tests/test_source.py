@@ -36,34 +36,37 @@ def imported_modules(path):
         yield from ((node.lineno, name.split(".")[0]) for name in names)
 
 
-def test_no_process_pool_imports():
-    # no flag or parameter can ask the package for worker processes
+def imports_of(*modules):
+    """``file:line:module`` of every import of the given top-level modules."""
     assert SOURCES
-    pools = ("concurrent", "multiprocessing")
-    found = [
+    return [
         f"{path.name}:{lineno}:{name}"
         for path in SOURCES
         for lineno, name in imported_modules(path)
-        if name in pools
+        if name in modules
     ]
-    assert found == []
+
+
+def test_no_process_pool_imports():
+    # no flag or parameter can ask the package for worker processes
+    assert imports_of("concurrent", "multiprocessing") == []
 
 
 def test_no_dataclasses_imports():
     # importing dataclasses pulls in inspect, and building the classes costs
     # every w52 process tens of milliseconds; the records are NamedTuples
-    assert SOURCES
-    found = [
-        f"{path.name}:{lineno}"
-        for path in SOURCES
-        for lineno, name in imported_modules(path)
-        if name == "dataclasses"
-    ]
-    assert found == []
+    assert imports_of("dataclasses") == []
 
 
-# numpy serves only the dense test oracle; dataclasses and inspect cost tens of
-# milliseconds of start-up; every w52 process would pay for any of them
+def test_no_numpy_imports():
+    # numpy is a test dependency only: the package installs without it, and
+    # the dense oracle lives in tests/conftest.py
+    assert imports_of("numpy") == []
+
+
+# numpy comes with the test extra, for the dense oracle, and is not installed
+# with the package; dataclasses and inspect cost tens of milliseconds of
+# start-up; every w52 process would pay for any of them
 HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
 
 
