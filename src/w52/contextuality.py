@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .pauli import (
+    COMMUTE_MASK,
+    OBSERVABLES,
+    PHASE,
     DuplicateObservable,
     Observable,
     PauliError,
-    _symplectic_bits,
-    fold_phase,
     from_point_id,
     parse_observable,
     sign_from_phase,
@@ -74,11 +75,27 @@ class ContextSet(_ContextSetFields):
 
     @classmethod
     def from_words(cls, rows: Iterable[Iterable[str]]) -> "ContextSet":
-        return cls(tuple(tuple(parse_observable(w) for w in row) for row in rows))
+        """Contexts from rows of Pauli words; PauliError for anything else."""
+        rows = _iterate(rows, "the contexts")
+        return cls(tuple(tuple(parse_observable(w) for w in _word_row(row)) for row in rows))
 
     @classmethod
     def from_point_ids(cls, rows: Iterable[Iterable[int]]) -> "ContextSet":
-        return cls(tuple(tuple(from_point_id(p) for p in row) for row in rows))
+        """Contexts from rows of point ids in 1..63.
+
+        Rows or a row that cannot be iterated raise PauliError; an item that
+        is not an id raises the ValueError of :func:`from_point_id`.
+        """
+        rows = _iterate(rows, "the contexts")
+        return cls(
+            tuple(
+                tuple(
+                    OBSERVABLES[p - 1] if type(p) is int and 0 < p < 64 else from_point_id(p)
+                    for p in _iterate(row, "a context")
+                )
+                for row in rows
+            )
+        )
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "ContextSet":
@@ -92,6 +109,20 @@ class ContextSet(_ContextSetFields):
 
     def to_json_obj(self) -> dict:
         return {"contexts": [[o.word for o in ctx] for ctx in self.contexts]}
+
+
+def _iterate(value: object, what: str) -> Iterator:
+    """An iterator over ``value``; PauliError naming ``what`` if there is none."""
+    try:
+        return iter(value)  # type: ignore[call-overload]
+    except TypeError:
+        raise PauliError(f"{what} must be a list, got {type(value).__name__} {value!r}") from None
+
+
+def _word_row(row: object) -> Iterator:
+    if isinstance(row, str):
+        raise PauliError(f"a context must be a list of Pauli words, got the word {row!r}")
+    return _iterate(row, "a context")
 
 
 class ContextReport(NamedTuple):
@@ -140,22 +171,36 @@ def analyze(context_set: ContextSet) -> ProofReport:
     NOT_CONTEXTUAL otherwise.
     """
     reports = []
-    counter: Counter[int] = Counter()
+    ids = []
+    negative = 0
+    well_formed = True
     for ctx in context_set.contexts:
-        ids = [o.point_id for o in ctx]
-        counter.update(ids)
-        commuting = all(
-            not _symplectic_bits(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]
-        )
-        k, xor = fold_phase(ids)
+        # one pass: each id must commute with every earlier id of the context
+        # (so every pair is tested), and the product folds left to right
+        commuting = True
+        k = xor = seen = 0
+        for o in ctx:
+            a = o.point_id
+            ids.append(a)
+            if COMMUTE_MASK[a] & seen != seen:
+                commuting = False
+            seen |= 1 << a
+            k += PHASE[xor][a]
+            xor ^= a
         closed = xor == 0  # product is the identity up to phase
-        sign = sign_from_phase(k) if commuting and closed else None
+        if commuting and closed:
+            sign = sign_from_phase(k & 3)
+            if sign == -1:
+                negative += 1
+        else:
+            sign = None
+            well_formed = False
         reports.append(ContextReport(ctx, commuting, closed, sign))
-    occurrence = {from_point_id(p): c for p, c in sorted(counter.items())}
-    negative = sum(1 for r in reports if r.sign == -1)
+    counter = Counter(ids)
+    occurrence = {OBSERVABLES[p - 1]: counter[p] for p in sorted(counter)}
     all_even = all(c % 2 == 0 for c in counter.values())
     odd_negative = negative % 2 == 1
-    if any(not (r.commuting and r.closed) for r in reports):
+    if not well_formed:
         verdict = Verdict.MALFORMED_CONTEXT
     elif all_even and odd_negative:
         verdict = Verdict.VALID_PARITY_PROOF
@@ -205,12 +250,9 @@ class WASymbol(_WASymbolFields):
 
 def wa_symbol(context_set: ContextSet) -> WASymbol:
     """The occurrence/size symbol of a context set, e.g. 10_6 15_2 - 30_3."""
-    counter: Counter[int] = Counter()
-    sizes: Counter[int] = Counter()
-    for ctx in context_set.contexts:
-        sizes[len(ctx)] += 1
-        counter.update(o.point_id for o in ctx)
-    by_occurrence: Counter[int] = Counter(counter.values())
-    point_part = tuple(sorted(by_occurrence.items(), reverse=True))
+    contexts = context_set.contexts
+    counter = Counter([o.point_id for ctx in contexts for o in ctx])
+    sizes = Counter(map(len, contexts))
+    point_part = tuple(sorted(Counter(counter.values()).items(), reverse=True))
     context_part = tuple(sorted(sizes.items(), reverse=True))
-    return WASymbol(tuple((k, n) for k, n in point_part), context_part)
+    return WASymbol(point_part, context_part)

@@ -270,8 +270,15 @@ def enumerate_pentads(space: Space) -> tuple[Pentad, ...]:
 def pentad_from_planes(
     space: Space, plane_ids: Sequence[int], pentad_id: int | None = None
 ) -> Pentad:
-    """Validate five plane ids as a Fano pentad and assemble it."""
-    ids = sorted(map(_check_plane_id, plane_ids))
+    """Validate five plane ids as a Fano pentad and assemble it.
+
+    Raises ValueError for anything else, ``plane_ids`` that cannot be
+    iterated included.
+    """
+    try:
+        ids = sorted(map(_check_plane_id, plane_ids))
+    except TypeError:
+        raise ValueError(f"plane ids must be a list of ints, got {plane_ids!r}") from None
     pentad = _build_pentad(space, ids, pentad_id)
     if pentad is None:
         raise ValueError(f"planes {ids} do not form a Fano pentad")

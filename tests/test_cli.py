@@ -11,6 +11,7 @@ from w52 import export
 from w52 import pentads as pentads_module
 from w52.cli import main
 from w52.geometry import TaxonomyViolation
+from w52.pauli import OBSERVABLES
 from w52.taxonomy import TypeCountMismatch, classify_census
 
 # SHA-256 of the reference `enumerate pentads --format json|csv --out` files
@@ -46,6 +47,15 @@ OUTPUT_SHA256 = {
         "e2b9beb23ec914eefe02b3420106b799870be23e25968f9eab5f702e11439977",
     "enumerate planes --format json --out":
         "1391058969567c13daacdeb91dfc22b8d0c3f83eac3f9b6a0ffa7b6c3cdd01a4",
+}
+
+# SHA-256 of `verify FILE --format text|json` stdout, for the canonical
+# pentagram and for pentad 4321's configuration
+VERIFY_SHA256 = {
+    ("pentagram", "text"): "e999091f93cd9c3d1e327cc7da79fc11dad534a50145d46b59475dd70508e31b",
+    ("pentagram", "json"): "42b91732064e750141576f0be24762423a3c85b105b430bf96dab7ba2d8e4ddf",
+    ("config", "text"): "cc0cf1d4c7710cdef88ddb4bb1ba94b4fafe5901f93740060c1e43ca62210ab5",
+    ("config", "json"): "a9dee788d8163d923bc7d9c9c6bce1a5f325cd6d2bd76e2714d5ab8c244877ae",
 }
 
 CANONICAL_EDGES = [
@@ -143,6 +153,19 @@ class TestVerify:
         assert obj["verdict"] == "ValidParityProof"
         assert obj["negative_count"] == 1
         assert obj["symbol"] == "10_2 − 5_4"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["pentagram", "config"])
+    def test_output_matches_reference_bytes(self, capsys, tmp_path, space, pentads, name, fmt):
+        if name == "pentagram":
+            rows = CANONICAL_EDGES
+        else:
+            config = pentads_module.pentad_to_config(space, pentads[4321])
+            rows = [[OBSERVABLES[p - 1].word for p in ctx] for ctx in config.contexts]
+        f = write_contexts(tmp_path / f"{name}.json", rows)
+        assert main(["verify", str(f), "--format", fmt]) == 0
+        data = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == VERIFY_SHA256[name, fmt]
 
     def test_single_context_fails_as_not_contextual(self, capsys, tmp_path):
         f = write_contexts(tmp_path / "line.json", [["XII", "IXI", "XXI"]])

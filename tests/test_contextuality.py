@@ -6,11 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from w52.contextuality import ContextSet, Verdict, analyze, wa_symbol
-from w52.pauli import DuplicateObservable, InvalidLetter, PauliError
-from w52.pentads import pentad_to_pentagram
+from w52.pauli import OBSERVABLES, DuplicateObservable, InvalidLetter, PauliError
+from w52.pentads import pentad_from_planes, pentad_to_pentagram
 
 from conftest import IDENTITY8, dense_commutes, dense_product, dense_sign
 
@@ -39,6 +39,24 @@ class TestContextSet:
     def test_duplicate_in_context_rejected(self):
         with pytest.raises(DuplicateObservable):
             ContextSet.from_words([["XII", "XII"]])
+
+    @pytest.mark.parametrize(
+        "build, rows, message",
+        [
+            (ContextSet.from_words, ["XXI"], "a context must be a list of Pauli words, got the word 'XXI'"),
+            (ContextSet.from_point_ids, [1, 2], "a context must be a list, got int 1"),
+        ],
+        ids=["words", "ids"],
+    )
+    def test_a_flat_list_is_rejected(self, build, rows, message):
+        with pytest.raises(PauliError, match=message):
+            build(rows)
+
+    def test_point_ids_keep_the_messages_of_from_point_id(self):
+        assert ContextSet.from_point_ids([[1, 2, 3]]) == ContextSet.from_words([["IIX", "IXI", "IXX"]])
+        for bad in (0, 64, True, 1.0, "X"):
+            with pytest.raises(ValueError, match=f"point id must be an integer in 1..63, got {bad!r}"):
+                ContextSet.from_point_ids([[bad]])
 
     def test_from_json_obj_schema(self):
         with pytest.raises(ValueError):
@@ -159,7 +177,8 @@ class TestDenseOracle:
     @given(st.data())
     def test_analyze_agrees_with_the_dense_oracle(self, context_sets, data):
         rows = data.draw(context_sets)
-        report = analyze(ContextSet.from_point_ids(rows))
+        context_set = ContextSet.from_point_ids(rows)
+        report = analyze(context_set)
 
         expected = [dense_context(row) for row in rows]
         assert [(r.commuting, r.closed, r.sign) for r in report.contexts] == expected
@@ -173,3 +192,68 @@ class TestDenseOracle:
         else:
             verdict = Verdict.NOT_CONTEXTUAL
         assert report.verdict is verdict
+
+        assert [(o.point_id, c) for o, c in report.occurrence_counts.items()] == sorted(
+            counts.items()
+        )
+        assert all(o is OBSERVABLES[o.point_id - 1] for o in report.occurrence_counts)
+        symbol = wa_symbol(context_set)
+        assert symbol.point_part == tuple(sorted(Counter(counts.values()).items(), reverse=True))
+        sizes = Counter(len(row) for row in rows)
+        assert symbol.context_part == tuple(sorted(sizes.items(), reverse=True))
+
+
+# Nested values of every shape: None, bools, ints around both id ranges,
+# floats, strings of Pauli letters, observables, and lists, tuples and dicts
+# of those.
+_NESTED = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 140),
+        st.floats(allow_nan=False),
+        st.text("IXYZQ", max_size=4),
+        st.sampled_from(OBSERVABLES),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.tuples(inner, inner),
+        st.dictionaries(st.integers(-3, 140), inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+class TestMalformedInput:
+    """Each constructor raises only its documented errors, whatever it is given."""
+
+    @pytest.mark.parametrize(
+        "build, errors",
+        [
+            (ContextSet.from_words, PauliError),
+            (ContextSet.from_point_ids, ValueError),  # PauliError, or from_point_id's ValueError
+        ],
+        ids=["from_words", "from_point_ids"],
+    )
+    @given(value=_NESTED)
+    @example(value=["XXI"])
+    @example(value=[1, 2])
+    @example(value=None)
+    @example(value=[[2, 5, 7], [2, 5, 7]])
+    def test_context_set_constructors(self, build, errors, value):
+        try:
+            context_set = build(value)
+        except errors:
+            return
+        # whatever a constructor accepts, the verifier reports on without raising
+        assert len(analyze(context_set).contexts) == len(context_set.contexts)
+        wa_symbol(context_set)
+
+    @given(value=_NESTED)
+    @example(value=[2, 4, 16, 82, 134])
+    def test_pentad_from_planes(self, space, value):
+        try:
+            pentad = pentad_from_planes(space, value)
+        except ValueError:
+            return
+        assert len(pentad.planes) == 5

@@ -272,6 +272,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             pentad_from_planes(space, [0, 0, 1, 2, 3])
 
+    @pytest.mark.parametrize("plane_ids", [None, 5, 1.0])
+    def test_pentad_from_planes_rejects_a_non_list(self, space, plane_ids):
+        with pytest.raises(ValueError, match="plane ids must be a list of ints"):
+            pentad_from_planes(space, plane_ids)
+
     @pytest.mark.parametrize("bad", [True, -1, 135, "XII"])
     def test_pentad_from_planes_rejects_bad_ids(self, space, bad):
         # -1 would wrap to plane 134, and (2, 4, 16, 82, 134) is a pentad
