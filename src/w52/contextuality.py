@@ -20,12 +20,11 @@ from collections import Counter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .pauli import (
-    COMMUTE_MASK,
     OBSERVABLES,
-    PHASE,
     DuplicateObservable,
     Observable,
     PauliError,
+    _fold,
     from_point_id,
     parse_observable,
     sign_from_phase,
@@ -56,15 +55,17 @@ class _ContextSetFields(NamedTuple):
 
 
 class ContextSet(_ContextSetFields):
-    """A list of contexts, each a nonempty tuple of distinct observables."""
+    """A list of contexts, each a nonempty tuple of distinct observables;
+    PauliError for anything else."""
 
     __slots__ = ()
 
     def __new__(cls, contexts: tuple[tuple[Observable, ...], ...]) -> "ContextSet":
-        for ctx in contexts:
-            if not ctx:
+        for ctx in _iterate(contexts, "the contexts"):
+            ids = [_point_id(o) for o in _iterate(ctx, "a context")]
+            if not ids:
                 raise PauliError("empty context")
-            if len({o.point_id for o in ctx}) != len(ctx):
+            if len(set(ids)) != len(ids):
                 raise DuplicateObservable(f"context {[str(o) for o in ctx]} repeats an observable")
         return super().__new__(cls, contexts)
 
@@ -119,6 +120,14 @@ def _iterate(value: object, what: str) -> Iterator:
         raise PauliError(f"{what} must be a list, got {type(value).__name__} {value!r}") from None
 
 
+def _point_id(item: object) -> int:
+    if not isinstance(item, Observable):
+        raise PauliError(
+            f"a context must be a list of observables, got {type(item).__name__} {item!r}"
+        )
+    return item.point_id
+
+
 def _word_row(row: object) -> Iterator:
     if isinstance(row, str):
         raise PauliError(f"a context must be a list of Pauli words, got the word {row!r}")
@@ -171,32 +180,20 @@ def analyze(context_set: ContextSet) -> ProofReport:
     NOT_CONTEXTUAL otherwise.
     """
     reports = []
-    ids = []
     negative = 0
     well_formed = True
     for ctx in context_set.contexts:
-        # one pass: each id must commute with every earlier id of the context
-        # (so every pair is tested), and the product folds left to right
-        commuting = True
-        k = xor = seen = 0
-        for o in ctx:
-            a = o.point_id
-            ids.append(a)
-            if COMMUTE_MASK[a] & seen != seen:
-                commuting = False
-            seen |= 1 << a
-            k += PHASE[xor][a]
-            xor ^= a
+        commuting, xor, k = _fold([o.point_id for o in ctx])
         closed = xor == 0  # product is the identity up to phase
         if commuting and closed:
-            sign = sign_from_phase(k & 3)
+            sign = sign_from_phase(k)
             if sign == -1:
                 negative += 1
         else:
             sign = None
             well_formed = False
         reports.append(ContextReport(ctx, commuting, closed, sign))
-    counter = Counter(ids)
+    counter = Counter([o.point_id for ctx in context_set.contexts for o in ctx])
     occurrence = {OBSERVABLES[p - 1]: counter[p] for p in sorted(counter)}
     all_even = all(c % 2 == 0 for c in counter.values())
     odd_negative = negative % 2 == 1

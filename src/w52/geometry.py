@@ -39,8 +39,8 @@ from .pauli import (
     TYPE_OF,
     Observable,
     ObservableType,
+    _fold,
     _is_id,
-    fold_phase,
     sign_from_phase,
 )
 
@@ -152,9 +152,9 @@ class Flag(NamedTuple):
 
 
 def _sign_of_points(points: Sequence[int]) -> int:
-    k, xor = fold_phase(points)
-    if xor or k & 1:
-        raise TaxonomyViolation(f"points {points} do not multiply to +/-identity")
+    commuting, xor, k = _fold(points)
+    if not commuting or xor:
+        raise TaxonomyViolation(f"points {points} do not commute and multiply to +/-identity")
     return sign_from_phase(k)
 
 

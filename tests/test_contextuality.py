@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -57,6 +58,20 @@ class TestContextSet:
         for bad in (0, 64, True, 1.0, "X"):
             with pytest.raises(ValueError, match=f"point id must be an integer in 1..63, got {bad!r}"):
                 ContextSet.from_point_ids([[bad]])
+
+    @pytest.mark.parametrize(
+        "contexts, message",
+        [
+            (None, "the contexts must be a list, got NoneType None"),
+            ((5,), "a context must be a list, got int 5"),
+            (((1, 2),), "a context must be a list of observables, got int 1"),
+            ((("XXI",),), "a context must be a list of observables, got str 'XXI'"),
+        ],
+        ids=["contexts", "row", "id", "word"],
+    )
+    def test_the_bare_constructor_takes_only_observables(self, contexts, message):
+        with pytest.raises(PauliError, match=f"^{re.escape(message)}$"):
+            ContextSet(contexts)
 
     def test_from_json_obj_schema(self):
         with pytest.raises(ValueError):
@@ -232,13 +247,16 @@ class TestMalformedInput:
         [
             (ContextSet.from_words, PauliError),
             (ContextSet.from_point_ids, ValueError),  # PauliError, or from_point_id's ValueError
+            (ContextSet, PauliError),
         ],
-        ids=["from_words", "from_point_ids"],
+        ids=["from_words", "from_point_ids", "ContextSet"],
     )
     @given(value=_NESTED)
     @example(value=["XXI"])
     @example(value=[1, 2])
     @example(value=None)
+    @example(value=((1, 2),))
+    @example(value=(("XXI",),))
     @example(value=[[2, 5, 7], [2, 5, 7]])
     def test_context_set_constructors(self, build, errors, value):
         try:

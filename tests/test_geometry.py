@@ -7,8 +7,10 @@ import pytest
 from w52.geometry import (
     LineNotInPlane,
     PlaneClass,
+    TaxonomyViolation,
     UnknownId,
     _mask_points,
+    _sign_of_points,
     affine_part,
     classify_plane,
 )
@@ -130,6 +132,27 @@ class TestPlanes:
         first = next(p for p in space.planes if p.plane_class is PlaneClass.NEGATIVE)
         assert first.sign == -1
         assert dense_sign(first.points) == -1
+
+
+class TestSignOfPoints:
+    def test_a_line_has_its_sign(self):
+        points = tuple(O(w).point_id for w in ("XXI", "YYI", "ZZI"))
+        assert _sign_of_points(points) == -1 == dense_sign(points)
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            # closed with an even phase, -1, but XII and YII anticommute
+            ("XII", "YII", "XZI", "YZI"),
+            # commuting, not closed
+            ("XII", "IXI", "IIX"),
+        ],
+        ids=["not commuting", "not closed"],
+    )
+    def test_a_set_that_is_not_a_context_is_a_violation(self, words):
+        points = tuple(O(w).point_id for w in words)
+        with pytest.raises(TaxonomyViolation, match="do not commute and multiply"):
+            _sign_of_points(points)
 
 
 class TestAffinePart:

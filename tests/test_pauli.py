@@ -4,7 +4,9 @@ Derived expectations are checked against the dense-matrix oracle rather
 than trusted constants; the oracle never touches the phase tables.
 """
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -32,13 +34,53 @@ from w52.pauli import (
     symplectic_form,
 )
 
-from conftest import DENSE, IDENTITY8, PAULI_2X2, dense_commutes, dense_matrix
+from conftest import DENSE, IDENTITY8, PAULI_2X2, dense_commutes, dense_matrix, dense_sign
 
 observables = st.sampled_from(OBSERVABLES)
 
 
 def O(word):  # noqa: E743 - tiny test helper
     return parse_observable(word)
+
+
+def outcome(function, *args):
+    """What a call gives: its value, or the class and message of its PauliError."""
+    try:
+        return function(*args)
+    except PauliError as err:
+        return type(err), str(err)
+
+
+# (x_j, x_{j+3}) of each letter, written out here rather than read off PauliLetter
+_LETTER_BITS = {"I": (0, 0), "X": (0, 1), "Y": (1, 1), "Z": (1, 0)}
+
+
+def letter_loop(word):
+    """Reference parse: the Observable of a word, or its error class and message."""
+    if len(word) != 3:
+        return BadLength, f"Pauli word must be exactly 3 characters, got {word!r}"
+    pid = 0
+    for j, ch in enumerate(word):
+        if ch not in _LETTER_BITS:
+            return InvalidLetter, f"invalid Pauli letter {ch!r} in {word!r}"
+        high, low = _LETTER_BITS[ch]
+        pid |= (high << (5 - j)) | (low << (2 - j))
+    if pid == 0:
+        return IdentityExcluded, "the identity III is not one of the 63 observables"
+    return Observable(pid)
+
+
+def pairwise_then_xor(ids):
+    """Reference context sign on distinct ids: the first anticommuting pair in
+    input order by the dense oracle, then the XOR, then the dense product."""
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if not dense_commutes(a, b):
+                return NotMutuallyCommuting, f"{WORDS[a - 1]} and {WORDS[b - 1]} anticommute"
+    xor = functools.reduce(operator.xor, ids)
+    if xor:
+        return NotClosed, f"product is {WORDS[xor - 1]}, not the identity, up to phase"
+    return dense_sign(ids)
 
 
 class TestParseFormat:
@@ -75,6 +117,19 @@ class TestParseFormat:
     def test_invalid_letter(self, word):
         with pytest.raises(InvalidLetter):
             O(word)
+
+    def test_agrees_with_a_letter_loop_on_every_short_string(self):
+        # uppercase and lowercase letters, a digit, a space and a Greek Chi,
+        # which looks like X; lengths 0 to 4, with every string of length 3
+        alphabet = "IXYZixyz7 \u03a7"
+        words = [
+            "".join(chars)
+            for n in range(5)
+            for chars in itertools.product(alphabet, repeat=n)
+        ]
+        assert len(words) == sum(len(alphabet) ** n for n in range(5))
+        for word in words:
+            assert outcome(parse_observable, word) == letter_loop(word), word
 
     def test_round_trip_all_63(self):
         for o in OBSERVABLES:
@@ -187,6 +242,17 @@ class TestMultiply:
                 assert (ka - kb) % 4 == (2 * sigma) % 4
 
 
+@pytest.fixture(scope="module")
+def contexts(space):
+    """The point ids of the 315 lines, the 945 flags' affine quadruples and
+    the 135 planes, in that order."""
+    return (
+        [line.points for line in space.lines]
+        + [flag.affine for flag in space.flags.values()]
+        + [plane.points for plane in space.planes]
+    )
+
+
 class TestContextSign:
     def test_positive_line(self):
         assert context_sign([O("XII"), O("IXI"), O("XXI")]) == 1
@@ -220,6 +286,27 @@ class TestContextSign:
         base = context_sign([O(w) for w in words])
         for perm in itertools.permutations(words):
             assert context_sign([O(w) for w in perm]) == base
+
+    def test_every_line_flag_and_plane_agrees_with_the_dense_oracle(self, contexts):
+        assert len(contexts) == 315 + 945 + 135
+        for ids in contexts:
+            for order in (ids, ids[::-1]):
+                assert context_sign([OBSERVABLES[p - 1] for p in order]) == dense_sign(order), order
+
+    @given(st.data())
+    def test_agrees_with_pairwise_dense_checks_then_xor(self, contexts, data):
+        # a line, flag or plane in any order, 2-7 points of one plane in any
+        # order, or 2-7 distinct ids from all 63, which mostly anticommute
+        planes = contexts[-135:]
+        ids = data.draw(
+            st.sampled_from(contexts).flatmap(st.permutations)
+            | st.tuples(
+                st.sampled_from(planes).flatmap(st.permutations), st.integers(2, 7)
+            ).map(lambda t: t[0][: t[1]])
+            | st.lists(st.integers(1, 63), min_size=2, max_size=7, unique=True)
+        )
+        observed = outcome(context_sign, [OBSERVABLES[p - 1] for p in ids])
+        assert observed == pairwise_then_xor(ids)
 
 
 class TestDenseMatrix:

@@ -91,3 +91,23 @@ def test_commands_load_no_heavy_modules(tmp_path, argv):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def names_in(path):
+    """Every imported name, variable name and attribute name in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_contexts_are_multiplied_only_in_pauli():
+    # pauli's one fold is the only code that multiplies a context, so the
+    # phase table is read nowhere else, and the verifier reads neither table
+    readers = [path.name for path in SOURCES if "PHASE" in names_in(path)]
+    assert readers == ["pauli.py"]
+    contextuality = SRC / "w52" / "contextuality.py"
+    assert {"PHASE", "COMMUTE_MASK"}.isdisjoint(names_in(contextuality))
