@@ -55,19 +55,22 @@ class _ContextSetFields(NamedTuple):
 
 
 class ContextSet(_ContextSetFields):
-    """A list of contexts, each a nonempty tuple of distinct observables;
-    PauliError for anything else."""
+    """A tuple of contexts, each a nonempty tuple of distinct observables
+    stored as it was checked; PauliError for anything else."""
 
     __slots__ = ()
 
     def __new__(cls, contexts: tuple[tuple[Observable, ...], ...]) -> "ContextSet":
+        rows = []
         for ctx in _iterate(contexts, "the contexts"):
-            ids = [_point_id(o) for o in _iterate(ctx, "a context")]
+            row = tuple(_iterate(ctx, "a context"))
+            ids = [_point_id(o) for o in row]
             if not ids:
                 raise PauliError("empty context")
             if len(set(ids)) != len(ids):
-                raise DuplicateObservable(f"context {[str(o) for o in ctx]} repeats an observable")
-        return super().__new__(cls, contexts)
+                raise DuplicateObservable(f"context {[str(o) for o in row]} repeats an observable")
+            rows.append(row)
+        return super().__new__(cls, tuple(rows))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "ContextSet":

@@ -25,7 +25,6 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
 from .contextuality import ContextSet
@@ -141,28 +140,29 @@ def census_csv(census) -> str:
 
 
 @contextmanager
-def atomic_open(path: str | Path) -> Iterator[TextIO]:
+def atomic_open(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     """Open a UTF-8 text file that replaces ``path`` only if the block completes.
 
     The data goes to a new temporary file in the target directory, which
     ``os.replace`` moves over ``path`` at the end; on any exception the
     temporary file is removed and an existing ``path`` is left untouched.
     """
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         f = open(tmp, "x", encoding="utf-8")
     except OSError as exc:  # name the file the caller asked for, not the temporary one
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with f:
             yield f
         try:
             os.replace(tmp, path)
         except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
-        tmp.unlink()
+        os.unlink(tmp)
         raise
 
 
@@ -226,10 +226,11 @@ def dump_pentad_csv(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None
         fp.write(f"{pentad_id},{planes},{negative_edges},{negative_contexts}\n")
 
 
-def load_context_file(path: str | Path) -> ContextSet:
+def load_context_file(path: str | os.PathLike[str]) -> ContextSet:
     """Read a context file: {"contexts": [["XXI", "YYI", "ZZI"], ...]}."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:

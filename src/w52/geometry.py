@@ -12,15 +12,17 @@ product of its observables, and every plane falls into one of four classes:
 * ``b``         -- positive, affine part 1 A + 3 C, no negative lines;
 * ``c``         -- positive, affine part 3 A + 1 C.
 
-``Space.flags`` holds all 945 flags (a plane with one line singled out):
-the plane's four points off the line, their sign, the plane's other negative
-lines and its six other lines.  A Fano pentad is five flags; its counts and
-its configuration's contexts are read from them.  Four more tables serve the
-pentad search and check and the configuration check, and are built on first
-use, so building a ``Space`` does not pay for them: ``Space.plane_meets``
-(which planes meet in a single point, and where), ``Space.pair_lines`` (the
-line through two points), and ``Space.line_tally`` and ``Space.plane_tally``
-(the points of each line and plane, packed by :func:`_tally`).
+Each incidence fact has one table in ``Space``.  ``Space.pair_lines`` (the
+line through two points) is built with the lines and gives the planes their
+lines.  ``Space.flags`` holds all 945 flags (a plane with one line singled
+out): the plane's four points off the line, their sign, the plane's other
+negative lines and its six other lines.  A Fano pentad is five flags; its
+counts and its configuration's contexts are read from them.  Three tables
+are built on first use, so building a ``Space`` does not pay for them:
+``Space.plane_meets`` (by plane, a row of the single points where it meets
+the others) for the pentad search and check, and ``Space.line_tally`` and
+``Space.plane_tally`` (the points of each line and plane, packed by
+:func:`_tally`) for the configuration check.
 
 Classification failures raise :class:`TaxonomyViolation`: these facts are
 structural, so a violation signals a bug, never bad input.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from functools import cached_property
+from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
 from .pauli import (
@@ -172,14 +175,14 @@ def enumerate_lines() -> tuple[Line, ...]:
     return lines
 
 
-def enumerate_planes(lines: Sequence[Line]) -> tuple[Plane, ...]:
+def enumerate_planes(lines: Sequence[Line], pair_lines: Sequence[Sequence]) -> tuple[Plane, ...]:
     """All 135 Fano planes, sorted by point tuple; ids are the ranks.
 
     Each line is extended by the lowest point commuting with both generators
     and not yet in a plane through the line, closed under XOR, until no such
     point is left; the three planes through each line collapse by point set.
+    A plane's lines are read off ``Space.pair_lines`` by its point pairs.
     """
-    line_id_by_mask = {line.mask: line.line_id for line in lines}
     seen: set[int] = set()
     for line in lines:
         a, b, _ = line.points
@@ -191,15 +194,12 @@ def enumerate_planes(lines: Sequence[Line]) -> tuple[Plane, ...]:
             cand &= ~span
     planes = []
     for plane_id, pts in enumerate(sorted(map(_mask_points, seen))):
-        line_ids = set()
-        for i, p in enumerate(pts):
-            for q in pts[i + 1 :]:
-                line_ids.add(line_id_by_mask[(1 << p) | (1 << q) | (1 << (p ^ q))])
-        line_ids = tuple(sorted(line_ids))
-        if len(line_ids) != 7:
+        line_ids = {pair_lines[p][q] for i, p in enumerate(pts) for q in pts[i + 1 :]}
+        if None in line_ids or len(line_ids) != 7:
             raise TaxonomyViolation(f"plane {pts} does not contain exactly 7 lines")
+        line_ids = tuple(sorted(line_ids))
         sign = _sign_of_points(pts)
-        b_line = _b_line_of(pts, line_id_by_mask)
+        b_line = _b_line_of(pts, pair_lines)
         plane_class = _classify(pts, line_ids, sign, b_line, lines)
         planes.append(Plane(plane_id, pts, line_ids, sign, b_line, plane_class))
     if len(planes) != 135:
@@ -207,15 +207,15 @@ def enumerate_planes(lines: Sequence[Line]) -> tuple[Plane, ...]:
     return tuple(planes)
 
 
-def _b_line_of(points: Sequence[int], line_id_by_mask: dict[int, int]) -> int:
+def _b_line_of(points: Sequence[int], pair_lines: Sequence[Sequence]) -> int:
     b_points = [p for p in points if TYPE_OF[p] is ObservableType.B]
     if len(b_points) != 3:
         raise TaxonomyViolation(f"plane {points} has {len(b_points)} type-B points, not 3")
-    mask = _mask_of(b_points)
-    try:
-        return line_id_by_mask[mask]
-    except KeyError:
-        raise TaxonomyViolation(f"type-B points {b_points} are not collinear") from None
+    p, q, r = b_points
+    line_id = pair_lines[p][q]
+    if line_id is None or p ^ q != r:
+        raise TaxonomyViolation(f"type-B points {b_points} are not collinear")
+    return line_id
 
 
 def _common_points(lines: Sequence[Line], line_ids: Iterable[int]) -> set[int]:
@@ -282,9 +282,8 @@ class Space:
     """The labeled polar space: points, lines, planes, flags, incidence queries.
 
     Construction enumerates everything once, except ``plane_meets``,
-    ``pair_lines``, ``line_tally`` and ``plane_tally``, which are built on
-    first use; afterwards the object is immutable in practice and safe to
-    share.
+    ``line_tally`` and ``plane_tally``, which are built on first use;
+    afterwards the object is immutable in practice and safe to share.
     """
 
     points: tuple[Observable, ...]
@@ -294,7 +293,14 @@ class Space:
     def __init__(self) -> None:
         self.points = OBSERVABLES
         self.lines = enumerate_lines()
-        self.planes = enumerate_planes(self.lines)
+        #: ``pair_lines[p][q]`` is the line through points p and q, and None
+        #: when they are not two distinct points of a line (0 included)
+        pair_lines: list[list[int | None]] = [[None] * 64 for _ in range(64)]
+        for line in self.lines:
+            for p, q in permutations(line.points, 2):
+                pair_lines[p][q] = line.line_id
+        self.pair_lines = tuple(map(tuple, pair_lines))
+        self.planes = enumerate_planes(self.lines, self.pair_lines)
         self.plane_masks = tuple(plane.mask for plane in self.planes)
         #: the 945 flags, keyed by (plane id, line id); a pentad is five of
         #: them, so its edges, signs, negative counts and contexts are read here
@@ -309,37 +315,20 @@ class Space:
         self._plane_id_by_mask = {m: i for i, m in enumerate(self.plane_masks)}
 
     @cached_property
-    def plane_meets(self) -> tuple[list[int], list[bytes]]:
-        """Per plane, a bitmask of the planes meeting it in exactly one point,
-        and the 135x135 table of those points (0, the identity, for every
-        other pair)."""
+    def plane_meets(self) -> list[bytes]:
+        """The 135x135 table of the points where two planes meet alone:
+        ``plane_meets[i][j]`` is the one point planes i and j share, and 0
+        (the identity) when they share none or a line."""
         masks = self.plane_masks
         n = len(masks)
-        single = [0] * n
         meet = [bytearray(n) for _ in range(n)]
         for i in range(n):
             mi = masks[i]
             for j in range(i + 1, n):
                 inter = mi & masks[j]
                 if inter and inter.bit_count() == 1:
-                    p = inter.bit_length() - 1
-                    meet[i][j] = meet[j][i] = p
-                    single[i] |= 1 << j
-                    single[j] |= 1 << i
-        return single, [bytes(row) for row in meet]
-
-    @cached_property
-    def pair_lines(self) -> tuple[tuple[int | None, ...], ...]:
-        """The 64x64 table of line ids by point pair: ``pair_lines[p][q]`` is
-        the line through points p and q, and None when p and q are not two
-        distinct points of a line (row and column 0 included)."""
-        table: list[list[int | None]] = [[None] * 64 for _ in range(64)]
-        for line in self.lines:
-            for p in line.points:
-                for q in line.points:
-                    if p != q:
-                        table[p][q] = line.line_id
-        return tuple(map(tuple, table))
+                    meet[i][j] = meet[j][i] = inter.bit_length() - 1
+        return [bytes(row) for row in meet]
 
     @cached_property
     def line_tally(self) -> list[int]:
@@ -369,10 +358,12 @@ class Space:
 
     def line_id_of(self, points: Iterable[int | Observable]) -> int:
         ids = self._as_ids(points)
-        mask = _mask_of(ids)
-        for line in self.lines:
-            if line.mask == mask:
-                return line.line_id
+        distinct = set(ids)
+        if len(distinct) == 3:
+            p, q, r = distinct
+            line_id = self.pair_lines[p][q]
+            if line_id is not None and p ^ q == r:
+                return line_id
         raise UnknownId(f"no line with point set {sorted(ids)}")
 
     def plane_id_of(self, points: Iterable[int | Observable]) -> int:
@@ -389,7 +380,10 @@ class Space:
         mask = _span_mask(*self._as_ids((a, b, c)))
         if mask & 1 or mask.bit_count() != 7:
             raise ValueError("generators are not independent")
-        return self.plane_id_of(_mask_points(mask))
+        try:
+            return self._plane_id_by_mask[mask]
+        except KeyError:
+            raise UnknownId(f"no plane with point set {list(_mask_points(mask))}") from None
 
     @classmethod
     def _as_ids(cls, points: Iterable[int | Observable]) -> list[int]:

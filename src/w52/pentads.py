@@ -186,7 +186,7 @@ def _build_pentad(
     a, b, c, d, e = ids
     if not a < b < c < d < e:
         return None
-    meet = space.plane_meets[1]
+    meet = space.plane_meets
     ma, mb, mc, md = meet[a], meet[b], meet[c], meet[d]
     meets = ab, ac, ad, ae, bc, bd, be, cd, ce, de = (
         ma[b], ma[c], ma[d], ma[e], mb[c], mb[d], mb[e], mc[d], mc[e], md[e]
@@ -223,14 +223,15 @@ def _search(space: Space) -> list[Pentad]:
     A 5-set that fails :func:`_build_pentad`, or is found twice, raises
     :class:`TaxonomyViolation`.
     """
-    single, meet = space.plane_meets
+    meet = space.plane_meets
     plane_id_by_mask = space._plane_id_by_mask
     found = []
     for a, plane in enumerate(space.planes):
         meet_a = meet[a]
         partners: dict[int, list[int]] = {p: [] for p in plane.points}
-        for x in _mask_points(single[a] >> (a + 1) << (a + 1)):
-            partners[meet_a[x]].append(x)
+        for x, p in enumerate(meet_a[a + 1 :], a + 1):
+            if p:
+                partners[p].append(x)
         for line_id in plane.lines:
             q1, q2, q3, _ = space.flags[a, line_id].affine
             for b in partners[q1]:

@@ -73,6 +73,20 @@ class TestContextSet:
         with pytest.raises(PauliError, match=f"^{re.escape(message)}$"):
             ContextSet(contexts)
 
+    def test_rows_given_as_iterators_are_stored_as_the_checked_tuples(self):
+        # each row is iterated once to check it; storing the iterator would
+        # leave an exhausted row, and one observable would fold as an empty,
+        # closed and positive context
+        observable = OBSERVABLES[0]
+        context_set = ContextSet((iter([observable]),))
+        assert context_set.contexts == ((observable,),)
+        report = analyze(context_set)
+        assert report.verdict is Verdict.MALFORMED_CONTEXT
+        assert report.contexts[0].commuting and not report.contexts[0].closed
+        # the same for the contexts themselves given as an iterator
+        rows = ContextSet(iter([[observable]])).contexts
+        assert rows == ((observable,),)
+
     def test_from_json_obj_schema(self):
         with pytest.raises(ValueError):
             ContextSet.from_json_obj(["XXI"])

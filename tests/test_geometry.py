@@ -9,10 +9,12 @@ from w52.geometry import (
     PlaneClass,
     TaxonomyViolation,
     UnknownId,
+    _b_line_of,
     _mask_points,
     _sign_of_points,
     affine_part,
     classify_plane,
+    enumerate_planes,
 )
 from w52.pauli import ObservableType, TYPE_OF, parse_observable
 
@@ -120,6 +122,29 @@ class TestPlanes:
             assert len(b_points) == 3
             assert space.lines[plane.b_line].points == tuple(sorted(b_points))
             assert plane.b_line in plane.lines
+
+    def test_a_pair_table_missing_a_line_is_a_violation(self, space):
+        # a plane whose pairs miss one of its lines reads None for them, which
+        # must fail the line count, not stand in for the seventh line
+        line = space.lines[space.planes[0].lines[0]]
+        table = [list(row) for row in space.pair_lines]
+        for p, q in itertools.permutations(line.points, 2):
+            table[p][q] = None
+        with pytest.raises(TaxonomyViolation, match="does not contain exactly 7 lines"):
+            enumerate_planes(space.lines, table)
+
+    def test_b_points_off_a_line_are_a_violation(self, space):
+        # the B line is read from the pair table by the first two B points;
+        # no line through them, or a third B point off it, must not pass
+        plane = space.planes[0]
+        p, q, r = (x for x in plane.points if TYPE_OF[x] is ObservableType.B)
+        table = [list(row) for row in space.pair_lines]
+        table[p][q] = None
+        with pytest.raises(TaxonomyViolation, match="are not collinear"):
+            _b_line_of(plane.points, table)
+        off = next(x for x in range(1, 64) if TYPE_OF[x] is ObservableType.B and x not in (p, q, r))
+        with pytest.raises(TaxonomyViolation, match="are not collinear"):
+            _b_line_of((p, q, off), space.pair_lines)
 
     def test_span_of_single_qubit_xs_is_positive_with_positive_lines(self, space):
         pid = space.plane_spanned_by(O("XII"), O("IXI"), O("IIX"))
@@ -280,6 +305,15 @@ class TestIncidence:
         observables = [O("XII"), O("IXI"), O("XXI")]
         found = space.lines[space.line_id_of(observables)]
         assert found.points == tuple(sorted(o.point_id for o in observables))
+
+    def test_line_id_of_takes_exactly_a_line_point_set(self, space):
+        # the point set must be a line's three points, no fewer and no more
+        line = space.lines[0]
+        a, b, c = line.points
+        off = min(set(range(1, 64)) - set(line.points))
+        for points in ([a, b], [a, b, a], [a, b, c, off], [], [a]):
+            with pytest.raises(UnknownId):
+                space.line_id_of(points)
 
     def test_unknown_ids(self, space):
         with pytest.raises(UnknownId):

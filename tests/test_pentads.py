@@ -75,7 +75,7 @@ def reference_check(space, plane_ids, pentad_id=None):
 
 def set_meet(space, i, j, point):
     """Overwrite both halves of the meet of planes i and j in ``space.plane_meets``."""
-    meet = space.plane_meets[1]
+    meet = space.plane_meets
     for x, y in ((i, j), (j, i)):
         row = bytearray(meet[x])
         row[y] = point
@@ -215,7 +215,7 @@ class TestEnumeration:
     def test_corrupt_meet_fails_exactly_the_pentads_reading_it(self, pentads, to):
         space = Space()
         a, b = pentads[4321].planes[:2]
-        right = space.plane_meets[1][a][b]
+        right = space.plane_meets[a][b]
         points = space.planes[a].points
         wrong = {
             "0": 0,

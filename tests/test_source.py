@@ -93,6 +93,25 @@ def test_commands_load_no_heavy_modules(tmp_path, argv):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_census_loads_no_pathlib_without_site(tmp_path):
+    # -S keeps site, which imports pathlib on some installs, out of the
+    # process, so only the package itself could load it here
+    code = (
+        "import sys; from w52.cli import main; "
+        f"code = main(['census', '--out', {str(tmp_path / 'census.csv')!r}]); "
+        "print('pathlib' in sys.modules); sys.exit(code)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def names_in(path):
     """Every imported name, variable name and attribute name in a source file."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
