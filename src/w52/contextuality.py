@@ -16,14 +16,15 @@ result, never raised.
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator
 
 from .pauli import (
     OBSERVABLES,
     DuplicateObservable,
     Observable,
     PauliError,
+    _checked_record,
     _fold,
     from_point_id,
     parse_observable,
@@ -50,13 +51,9 @@ class Verdict(enum.Enum):
         return self.value
 
 
-class _ContextSetFields(NamedTuple):
-    contexts: tuple[tuple[Observable, ...], ...]
-
-
-class ContextSet(_ContextSetFields):
-    """A tuple of contexts, each a nonempty tuple of distinct observables
-    stored as it was checked; PauliError for anything else."""
+class ContextSet(_checked_record("ContextSet", "contexts")):
+    """``contexts`` is a tuple of contexts, each a nonempty tuple of distinct
+    observables stored as it was checked; PauliError for anything else."""
 
     __slots__ = ()
 
@@ -71,11 +68,6 @@ class ContextSet(_ContextSetFields):
                 raise DuplicateObservable(f"context {[str(o) for o in row]} repeats an observable")
             rows.append(row)
         return super().__new__(cls, tuple(rows))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "ContextSet":
-        # _replace builds through _make, which would otherwise skip the check
-        return cls(*iterable)
 
     @classmethod
     def from_words(cls, rows: Iterable[Iterable[str]]) -> "ContextSet":
@@ -137,23 +129,27 @@ def _word_row(row: object) -> Iterator:
     return _iterate(row, "a context")
 
 
-class ContextReport(NamedTuple):
-    """Per-context verification outcome; sign is None unless the context is
-    commuting and closed."""
+class ContextReport(namedtuple("ContextReport", "observables commuting closed sign")):
+    """Per-context verification outcome: the context's ``observables``,
+    whether it is ``commuting`` and ``closed`` (bools), and its ``sign``
+    (+1 or -1), None unless it is both."""
 
-    observables: tuple[Observable, ...]
-    commuting: bool
-    closed: bool
-    sign: int | None
+    __slots__ = ()
 
 
-class ProofReport(NamedTuple):
-    contexts: tuple[ContextReport, ...]
-    occurrence_counts: Mapping[Observable, int]
-    negative_count: int
-    all_even: bool
-    odd_negative: bool
-    verdict: Verdict
+class ProofReport(
+    namedtuple(
+        "ProofReport", "contexts occurrence_counts negative_count all_even odd_negative verdict"
+    )
+):
+    """The parity-proof verdict on a context set and what it rests on:
+    ``contexts``, a :class:`ContextReport` per context in input order;
+    ``occurrence_counts``, a dict from each observable, in point-id order, to
+    the number of contexts holding it; ``negative_count`` (int), of negative
+    contexts; the parity conditions ``all_even`` and ``odd_negative`` (bools);
+    the ``verdict``."""
+
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -209,17 +205,12 @@ def analyze(context_set: ContextSet) -> ProofReport:
     return ProofReport(tuple(reports), occurrence, negative, all_even, odd_negative, verdict)
 
 
-class _WASymbolFields(NamedTuple):
-    point_part: tuple[tuple[int, int], ...]
-    context_part: tuple[tuple[int, int], ...]
-
-
-class WASymbol(_WASymbolFields):
+class WASymbol(_checked_record("WASymbol", "point_part context_part")):
     """Compact incidence notation: observable occurrences vs context sizes.
 
-    ``point_part`` lists (occurrence count k, number of observables n_k) and
-    ``context_part`` lists (context size s, number of contexts m_s), both in
-    descending subscript order, rendered like ``10_6 15_2 − 30_3``.
+    ``point_part`` holds int pairs (occurrence count k, number of observables
+    n_k) and ``context_part`` pairs (context size s, number of contexts m_s),
+    both in descending subscript order, rendered like ``10_6 15_2 − 30_3``.
     """
 
     __slots__ = ()
@@ -236,11 +227,6 @@ class WASymbol(_WASymbolFields):
                 f"incidence double count broken: {point_incidences} != {context_incidences}"
             )
         return super().__new__(cls, point_part, context_part)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "WASymbol":
-        # _replace builds through _make, which would otherwise skip the check
-        return cls(*iterable)
 
     def __str__(self) -> str:
         points = " ".join(f"{n}_{k}" for k, n in self.point_part)

@@ -24,8 +24,8 @@ import csv
 import io
 import json
 import os
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from typing import Iterator, Sequence, TextIO
 
 from .contextuality import ContextSet
 from .geometry import Space
@@ -140,7 +140,7 @@ def census_csv(census) -> str:
 
 
 @contextmanager
-def atomic_open(path: str | os.PathLike[str]) -> Iterator[TextIO]:
+def atomic_open(path: str | os.PathLike[str]) -> Iterator[io.TextIOBase]:
     """Open a UTF-8 text file that replaces ``path`` only if the block completes.
 
     The data goes to a new temporary file in the target directory, which
@@ -166,7 +166,7 @@ def atomic_open(path: str | os.PathLike[str]) -> Iterator[TextIO]:
         raise
 
 
-def dump_pentads(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None:
+def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Sequence[Pentad]) -> None:
     """Stream the pentad census document, one record per pentad, to ``fp``.
 
     Writes what ``json.dump(document, fp, indent=2, ensure_ascii=False)``
@@ -215,7 +215,7 @@ def dump_pentads(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None:
     fp.write(("\n  ]" if pentads else "]") + tail + "\n")
 
 
-def dump_pentad_csv(fp: TextIO, space: Space, pentads: Sequence[Pentad]) -> None:
+def dump_pentad_csv(fp: io.TextIOBase, space: Space, pentads: Sequence[Pentad]) -> None:
     """Stream the pentad CSV to ``fp``: a header, then one row per pentad with
     its id, its plane ids and its negative edge and context counts."""
     fp.write("id,planes,negative_edges,negative_contexts\n")

@@ -31,10 +31,10 @@ structural, so a violation signals a bug, never bad input.
 from __future__ import annotations
 
 import enum
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, NamedTuple, Sequence
 
 from .pauli import (
     COMMUTE_MASK,
@@ -118,40 +118,40 @@ class PlaneClass(enum.Enum):
         return self.value
 
 
-class Line(NamedTuple):
-    """A totally isotropic line: three mutually commuting points closed under XOR."""
+class Line(namedtuple("Line", "line_id points sign")):
+    """A totally isotropic line: ``line_id`` (int) is its rank in 0..314,
+    ``points`` its three mutually commuting point ids (ints), closed under
+    XOR and sorted, and ``sign`` (+1 or -1) the sign of their product."""
 
-    line_id: int
-    points: tuple[int, int, int]  # sorted point ids
-    sign: int
-
-    @property
-    def mask(self) -> int:
-        return _mask_of(self.points)
-
-
-class Plane(NamedTuple):
-    """A Fano plane: seven mutually commuting points forming a 2-subspace."""
-
-    plane_id: int
-    points: tuple[int, ...]  # 7 sorted point ids
-    lines: tuple[int, ...]  # 7 line ids, sorted
-    sign: int
-    b_line: int  # line id of the three collinear type-B points
-    plane_class: PlaneClass
+    __slots__ = ()
 
     @property
     def mask(self) -> int:
         return _mask_of(self.points)
 
 
-class Flag(NamedTuple):
-    """A plane with one of its lines singled out, as a pentad reads it."""
+class Plane(namedtuple("Plane", "plane_id points lines sign b_line plane_class")):
+    """A Fano plane, seven mutually commuting points forming a 2-subspace:
+    ``plane_id`` (int) is its rank in 0..134; ``points`` and ``lines`` its
+    point ids and line ids (ints), sorted; ``sign`` (+1 or -1) the sign of
+    the points' product; ``b_line`` (int) the line of its three type-B
+    points; ``plane_class`` its :class:`PlaneClass`."""
 
-    affine: tuple[int, int, int, int]  # the plane's points off the line, sorted
-    sign: int  # sign of the product of those four points
-    negative_lines: int  # the plane's negative lines other than this one
-    lines: tuple[int, ...]  # the plane's six other line ids, in plane.lines order
+    __slots__ = ()
+
+    @property
+    def mask(self) -> int:
+        return _mask_of(self.points)
+
+
+class Flag(namedtuple("Flag", "affine sign negative_lines lines")):
+    """A plane with one of its lines singled out, as a pentad reads it:
+    ``affine`` holds the plane's four point ids (ints) off the line, sorted;
+    ``sign`` (+1 or -1) is the sign of their product; ``negative_lines``
+    (int) counts the plane's negative lines other than this one; ``lines``
+    holds its six other line ids (ints), in ``Plane.lines`` order."""
+
+    __slots__ = ()
 
 
 def _sign_of_points(points: Sequence[int]) -> int:

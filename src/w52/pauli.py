@@ -20,7 +20,8 @@ three factor slots.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "PauliLetter",
@@ -100,15 +101,24 @@ class ObservableType(enum.Enum):
     C = "C"
 
 
-class _ObservableFields(NamedTuple):
-    point_id: int
+def _checked_record(name: str, fields: str) -> type:
+    """The namedtuple base of a record whose ``__new__`` checks its fields;
+    its ``_make``, and so ``_replace``, builds through that ``__new__``."""
+    base = namedtuple(name, fields)
+
+    def _make(cls, iterable):
+        # namedtuple's own _make calls tuple.__new__ and would skip the check
+        return cls(*iterable)
+
+    base._make = classmethod(_make)
+    return base
 
 
-class Observable(_ObservableFields):
+class Observable(_checked_record("Observable", "point_id")):
     """A non-identity three-qubit Pauli word, addressed by its point id.
 
-    ``point_id`` is the GF(2)^6 coordinate vector read as a binary number
-    (x1 most significant), so ids run 1..63 and sorting by id is the
+    ``point_id`` (int) is the GF(2)^6 coordinate vector read as a binary
+    number (x1 most significant), so ids run 1..63 and sorting by id is the
     canonical order used everywhere else in the package.
     """
 
@@ -117,11 +127,6 @@ class Observable(_ObservableFields):
     def __new__(cls, point_id: int) -> "Observable":
         _check_point_id(point_id)
         return super().__new__(cls, point_id)
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "Observable":
-        # _replace builds through _make, which would otherwise skip the check
-        return cls(*iterable)
 
     @property
     def coords(self) -> tuple[int, int, int, int, int, int]:

@@ -41,7 +41,8 @@ the flag table checks :func:`pentagram_to_pentad`.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .geometry import NEGATIVE_BIT, Space, TaxonomyViolation, _mask_points, _span_mask, _tally
 from .contextuality import ContextSet, Verdict, WASymbol, analyze, wa_symbol
@@ -82,21 +83,21 @@ class ClosureNotIsotropicPlane(ValueError):
     """An edge's XOR closure is not a totally isotropic Fano plane."""
 
 
-class Pentad(NamedTuple):
+class Pentad(
+    namedtuple("Pentad", "planes meet_points distinguished_lines pentad_id", defaults=(None,))
+):
     """Five planes with ten distinct single-point meets and affine shared parts.
 
-    ``meet_points`` lists the pairwise intersection points in the fixed pair
-    order (0,1), (0,2), ..., (3,4) over the sorted ``planes`` tuple, and
-    ``distinguished_lines[i]`` is the line of ``planes[i]`` whose complement
-    is that plane's four shared points.  ``pentad_id`` is the census rank and
-    is excluded from equality so that reconstructed pentads compare equal to
+    ``planes`` holds the five plane ids (ints), sorted; ``meet_points`` the
+    ten pairwise intersection point ids in the fixed pair order (0,1), (0,2),
+    ..., (3,4) over ``planes``; ``distinguished_lines[i]`` is the line id of
+    ``planes[i]`` whose complement is that plane's four shared points.
+    ``pentad_id`` (int, or None by default) is the census rank and is
+    excluded from equality so that reconstructed pentads compare equal to
     enumerated ones.
     """
 
-    planes: tuple[int, int, int, int, int]
-    meet_points: tuple[int, int, int, int, int, int, int, int, int, int]
-    distinguished_lines: tuple[int, int, int, int, int]
-    pentad_id: int | None = None
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Pentad):
@@ -136,24 +137,26 @@ class Pentad(NamedTuple):
             raise ValueError(f"plane {plane_id!r} is not in pentad {self.planes}") from None
 
 
-class Pentagram(NamedTuple):
-    """Ten observables on five 4-element contexts, each observable on two."""
+class Pentagram(namedtuple("Pentagram", "observables edges edge_signs")):
+    """Ten observables on five 4-element contexts, each observable on two:
+    ``observables`` holds the ten point ids (ints), sorted; ``edges`` the
+    contexts as sorted quadruples of point ids, in sorted order; and
+    ``edge_signs`` the sign (+1 or -1) of each edge, aligned with ``edges``."""
 
-    observables: tuple[int, ...]  # 10 sorted point ids
-    edges: tuple[tuple[int, int, int, int], ...]  # 5 sorted quadruples, sorted
-    edge_signs: tuple[int, int, int, int, int]  # aligned with edges
+    __slots__ = ()
 
     @property
     def negative_edges(self) -> int:
         return sum(1 for s in self.edge_signs if s < 0)
 
 
-class ContextualConfig(NamedTuple):
-    """Twenty-five observables on thirty 3-element contexts (isotropic lines)."""
+class ContextualConfig(namedtuple("ContextualConfig", "observables contexts context_signs")):
+    """Twenty-five observables on thirty 3-element contexts (isotropic lines):
+    ``observables`` holds the point ids (ints), sorted; ``contexts`` the
+    contexts as sorted triples of point ids, in sorted order; and
+    ``context_signs`` the sign (+1 or -1) of each, aligned with ``contexts``."""
 
-    observables: tuple[int, ...]  # 25 sorted point ids
-    contexts: tuple[tuple[int, int, int], ...]  # 30 sorted triples, sorted
-    context_signs: tuple[int, ...]  # aligned with contexts
+    __slots__ = ()
 
     @property
     def negative_contexts(self) -> int:

@@ -20,11 +20,11 @@ published classification is established by comparing the multiset of
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, NamedTuple
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 
 from .geometry import PlaneClass, Space, _mask_of
-from .pauli import TYPE_OF, ObservableType
+from .pauli import TYPE_OF, ObservableType, _checked_record
 from .pentads import Pentad
 
 __all__ = [
@@ -45,17 +45,13 @@ __all__ = [
 ]
 
 
-class _PentagramSignatureFields(NamedTuple):
-    negative_edges: int
-    obs_a: int
-    obs_b: int
-    obs_c: int
-    a_on_negative: int
-
-
-class PentagramSignature(_PentagramSignatureFields):
-    """Parameters of a Mermin pentagram: negative edges, observable types,
-    and the count of its type-A observables incident with a negative edge."""
+class PentagramSignature(
+    _checked_record("PentagramSignature", "negative_edges obs_a obs_b obs_c a_on_negative")
+):
+    """Parameters of a Mermin pentagram, all ints: ``negative_edges`` (odd,
+    1..5); ``obs_a``, ``obs_b`` and ``obs_c``, its observables of each type,
+    summing to 10; and ``a_on_negative``, its type-A observables incident
+    with a negative edge."""
 
     __slots__ = ()
 
@@ -67,26 +63,19 @@ class PentagramSignature(_PentagramSignatureFields):
             raise ValueError("negative edge count must be odd in 1..5")
         return self
 
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "PentagramSignature":
-        # _replace builds through _make, which would otherwise skip the check
-        return cls(*iterable)
 
-
-class _ConfigSignatureFields(NamedTuple):
-    negative_contexts: int
-    obs_a: int
-    obs_b: int
-    obs_c: int
-    neg_planes: int
-    planes_a: int
-    planes_b: int
-    planes_c: int
-    pentagram: PentagramSignature
-
-
-class ConfigSignature(_ConfigSignatureFields):
-    """Full type signature of a pentad configuration."""
+class ConfigSignature(
+    _checked_record(
+        "ConfigSignature",
+        "negative_contexts obs_a obs_b obs_c neg_planes planes_a planes_b planes_c pentagram",
+    )
+):
+    """Full type signature of a pentad configuration: the eight ints of a
+    reference table row, ``negative_contexts`` (odd), the observables of
+    each type ``obs_a``, ``obs_b`` and ``obs_c`` (summing to 25), and the
+    negative planes and positive planes of each class ``neg_planes``,
+    ``planes_a``, ``planes_b`` and ``planes_c`` (summing to 5); then the
+    ``pentagram`` in the same pentad, as a :class:`PentagramSignature`."""
 
     __slots__ = ()
 
@@ -100,51 +89,31 @@ class ConfigSignature(_ConfigSignatureFields):
             raise ValueError("negative context count must be odd")
         return self
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "ConfigSignature":
-        # _replace builds through _make, which would otherwise skip the check
-        return cls(*iterable)
-
     @property
     def table_row(self) -> tuple[int, int, int, int, int, int, int, int]:
         """The 8 parameters printed in the reference table."""
-        return (
-            self.negative_contexts,
-            self.obs_a,
-            self.obs_b,
-            self.obs_c,
-            self.neg_planes,
-            self.planes_a,
-            self.planes_b,
-            self.planes_c,
-        )
+        return self[:8]
 
     @property
     def sort_key(self) -> tuple:
-        return (
-            -self.negative_contexts,
-            self.obs_a,
-            self.obs_b,
-            self.neg_planes,
-            self.planes_a,
-            self.planes_b,
-            self.planes_c,
-            self.pentagram,
-        )
+        """Canonical census order: most negative contexts first, then by field."""
+        return (-self.negative_contexts, *self[1:])
 
 
-class TypeRecord(NamedTuple):
-    assigned_type: int
-    signature: ConfigSignature
-    multiplicity: int
-    example_pentad: int
+class TypeRecord(namedtuple("TypeRecord", "assigned_type signature multiplicity example_pentad")):
+    """One census type: ``assigned_type`` (int) is its ordinal from 1,
+    ``signature`` its :class:`ConfigSignature`, ``multiplicity`` (int) its
+    number of pentads and ``example_pentad`` (int) the lowest of their ids."""
+
+    __slots__ = ()
 
 
-class Census(NamedTuple):
-    """The aggregated classification: one record per type, canonical order."""
+class Census(namedtuple("Census", "records total")):
+    """The aggregated classification: ``records`` holds one
+    :class:`TypeRecord` per type, in canonical order, and ``total`` (int) is
+    the number of pentads classified."""
 
-    records: tuple[TypeRecord, ...]
-    total: int
+    __slots__ = ()
 
     @property
     def family_sizes(self) -> dict[int, int]:
@@ -205,6 +174,7 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
     A group's key is the sum of its pentads' :func:`_pair_table` entries and
     the count of their type-A meet points on negative edges, its signature is
     unpacked from that key, and its example is its lowest pentad id.  Raises
+    ValueError naming the first pentad that has no id, and
     :class:`TypeCountMismatch` (with the census attached) if the number of
     distinct signatures is not 47.
     """
@@ -218,9 +188,12 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
         pd, nd = rows[d][ld]
         pe, ne = rows[e][le]
         key = pa + pb + pc + pd + pe, (na | nb | nc | nd | ne).bit_count()
-        group = groups.setdefault(key, [0, pentad.pentad_id])
+        pentad_id = pentad.pentad_id
+        if pentad_id is None:
+            raise ValueError(f"pentad {pentad.planes} has no id to stand as its type's example")
+        group = groups.setdefault(key, [0, pentad_id])
         group[0] += 1
-        group[1] = min(group[1], pentad.pentad_id)
+        group[1] = min(group[1], pentad_id)
     signed = []
     for (total, a_count), (count, example) in groups.items():
         f = [(total >> (8 * k)) & 255 for k in range(12)]
@@ -239,17 +212,18 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
 # reference table
 
 
-class Table1Row(NamedTuple):
-    type_id: int
-    negative_contexts: int
-    obs_a: int
-    obs_b: int
-    obs_c: int
-    neg_planes: int
-    planes_a: int
-    planes_b: int
-    planes_c: int
-    pentagram_type: str  # documentation only; not used in comparisons
+class Table1Row(
+    namedtuple(
+        "Table1Row",
+        "type_id negative_contexts obs_a obs_b obs_c"
+        " neg_planes planes_a planes_b planes_c pentagram_type",
+    )
+):
+    """A row of the published classification table: ``type_id`` (int) is its
+    number, the next eight ints are :attr:`ConfigSignature.table_row`, and
+    ``pentagram_type`` (str), the pentagram label, is not compared."""
+
+    __slots__ = ()
 
     @property
     def table_row(self) -> tuple[int, int, int, int, int, int, int, int]:
@@ -314,11 +288,12 @@ def table1_fixture() -> tuple[Table1Row, ...]:
     return tuple(Table1Row(*row) for row in _TABLE1)
 
 
-class Table1Diff(NamedTuple):
-    """Multiset difference between census rows and the reference rows."""
+class Table1Diff(namedtuple("Table1Diff", "missing unexpected")):
+    """Multiset difference between census rows and the reference rows:
+    ``missing`` holds the reference rows not in the census and ``unexpected``
+    the census rows not in the reference, as sorted (row, count) int pairs."""
 
-    missing: tuple[tuple[tuple[int, ...], int], ...]  # in reference, not in census
-    unexpected: tuple[tuple[tuple[int, ...], int], ...]  # in census, not in reference
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -375,15 +350,19 @@ def _row_violations(row: tuple[int, int, int, int, int, int, int, int]) -> list[
     return broken
 
 
-class LawViolation(NamedTuple):
-    law: str
-    description: str
-    row: tuple[int, ...]
-    example_pentad: int
+class LawViolation(namedtuple("LawViolation", "law description row example_pentad")):
+    """A census row breaking a structural law: ``law`` (str) is the key in
+    :data:`LAW_DESCRIPTIONS` and ``description`` (str) its text, ``row`` the
+    type's eight ints and ``example_pentad`` (int) the type's example."""
+
+    __slots__ = ()
 
 
-class LawReport(NamedTuple):
-    violations: tuple[LawViolation, ...]
+class LawReport(namedtuple("LawReport", "violations")):
+    """The structural laws over a census: ``violations`` holds one
+    :class:`LawViolation` per broken law and row, empty when all hold."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

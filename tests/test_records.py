@@ -1,17 +1,21 @@
 """The package's record types: immutable, validated on construction, and a
 pentad's equality blind to its census id."""
 
+import copy
+import pickle
+
 import pytest
 
 from w52.contextuality import ContextSet, WASymbol, analyze, wa_symbol
 from w52.pauli import OBSERVABLES, DuplicateObservable, Observable
-from w52.pentads import pentad_from_planes, pentad_to_config, pentad_to_pentagram
+from w52.pentads import Pentad, pentad_from_planes, pentad_to_config, pentad_to_pentagram
 from w52.taxonomy import (
     ConfigSignature,
     LawViolation,
     PentagramSignature,
     compare_with_table1,
     structural_laws,
+    table1_fixture,
 )
 
 # a valid signature of each kind, as keyword arguments
@@ -58,6 +62,18 @@ def test_every_record_is_immutable(space, pentads, census):
                 setattr(record, name, getattr(record, name))
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+def test_every_record_survives_pickle_and_copy(space, pentads, census):
+    flag = next(iter(space.flags.values()))
+    records = one_of_each(space, pentads, census) + [flag, table1_fixture()[0]]
+    assert len({type(r) for r in records}) == 19
+    for record in records:
+        restored = pickle.loads(pickle.dumps(record))
+        assert restored == record and type(restored) is type(record)
+        assert copy.copy(record) == record
+        assert record._fields == record.__match_args__
+    assert Pentad._field_defaults == {"pentad_id": None}
 
 
 @pytest.mark.parametrize(

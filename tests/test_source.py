@@ -54,8 +54,15 @@ def test_no_process_pool_imports():
 
 def test_no_dataclasses_imports():
     # importing dataclasses pulls in inspect, and building the classes costs
-    # every w52 process tens of milliseconds; the records are NamedTuples
+    # every w52 process tens of milliseconds; the records are
+    # collections.namedtuple classes
     assert imports_of("dataclasses") == []
+
+
+def test_no_typing_imports():
+    # typing costs every w52 process milliseconds of start-up; the records
+    # are collections.namedtuple classes and annotations name collections.abc
+    assert imports_of("typing") == []
 
 
 def test_no_numpy_imports():
@@ -94,12 +101,12 @@ def test_commands_load_no_heavy_modules(tmp_path, argv):
 
 
 def test_census_loads_no_pathlib_without_site(tmp_path):
-    # -S keeps site, which imports pathlib on some installs, out of the
-    # process, so only the package itself could load it here
+    # -S keeps site, which imports pathlib and typing on some installs, out
+    # of the process, so only the package itself could load them here
     code = (
         "import sys; from w52.cli import main; "
         f"code = main(['census', '--out', {str(tmp_path / 'census.csv')!r}]); "
-        "print('pathlib' in sys.modules); sys.exit(code)"
+        "print([m for m in ('pathlib', 'typing') if m in sys.modules]); sys.exit(code)"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -109,7 +116,7 @@ def test_census_loads_no_pathlib_without_site(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def names_in(path):

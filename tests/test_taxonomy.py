@@ -1,12 +1,13 @@
 """Signatures, the 47-type census, the reference table, and structural laws."""
 
+import re
 from collections import Counter
 
 import pytest
 
 from w52.geometry import PlaneClass
 from w52.pauli import TYPE_OF, ObservableType
-from w52.pentads import negative_counts
+from w52.pentads import negative_counts, pentad_from_planes
 from w52.taxonomy import (
     Census,
     ConfigSignature,
@@ -159,6 +160,12 @@ class TestCensus:
             classify_census(space, pentads[:50])
         assert isinstance(err.value.census, Census)
         assert len(err.value.census.records) < 47
+
+    def test_a_pentad_without_an_id_is_named(self, space, pentads):
+        # a type's example is its lowest pentad id, so every pentad needs one
+        first, second = (pentad_from_planes(space, p.planes) for p in pentads[7:9])
+        with pytest.raises(ValueError, match=f"^pentad {re.escape(str(first.planes))} has no id"):
+            classify_census(space, [pentads[0], first, second])
 
 
 class TestTable1Comparison:
