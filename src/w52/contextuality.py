@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
+from types import MappingProxyType
 
 from .pauli import (
     OBSERVABLES,
@@ -138,18 +139,32 @@ class ContextReport(namedtuple("ContextReport", "observables commuting closed si
 
 
 class ProofReport(
-    namedtuple(
+    _checked_record(
         "ProofReport", "contexts occurrence_counts negative_count all_even odd_negative verdict"
     )
 ):
     """The parity-proof verdict on a context set and what it rests on:
     ``contexts``, a :class:`ContextReport` per context in input order;
-    ``occurrence_counts``, a dict from each observable, in point-id order, to
-    the number of contexts holding it; ``negative_count`` (int), of negative
-    contexts; the parity conditions ``all_even`` and ``odd_negative`` (bools);
-    the ``verdict``."""
+    ``occurrence_counts``, a read-only mapping (``types.MappingProxyType``,
+    over a copy of the mapping given) from each observable, in point-id
+    order, to the number of contexts holding it; ``negative_count`` (int), of
+    negative contexts; the parity conditions ``all_even`` and
+    ``odd_negative`` (bools); the ``verdict``.  The mapping cannot be
+    changed, so the report cannot contradict itself; it has no hash either,
+    so neither has the report."""
 
     __slots__ = ()
+
+    def __new__(
+        cls, contexts, occurrence_counts, negative_count, all_even, odd_negative, verdict
+    ) -> "ProofReport":
+        counts = MappingProxyType(dict(occurrence_counts))
+        fields = negative_count, all_even, odd_negative, verdict
+        return super().__new__(cls, contexts, counts, *fields)
+
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy cannot take a mapping proxy; __new__ wraps the dict again
+        return (self.contexts, dict(self.occurrence_counts), *self[2:])
 
     def to_json_obj(self) -> dict:
         return {

@@ -5,14 +5,16 @@ emitted in a fixed order, and every file ends with a newline.
 
 The pentad census has two export forms, both streamed one pentad at a
 time.  The JSON document carries both contextual sets of every pentad as
-Pauli words; :func:`dump_pentads` joins each record from JSON text
-pre-rendered for every line and every flag's affine quadruple
-(``Space.flags``), taking the edges from the pentagram and the contexts from
-:func:`~w52.pentads.config_contexts`, so each record passes the checks of
-both sets.  The CSV table (:func:`dump_pentad_csv`) carries no words: one
-row per pentad with its plane ids and the negative edge and context counts,
-summed over the pentad's five flags by :func:`~w52.pentads.negative_counts`
-without building either set.
+Pauli words; :func:`dump_pentads` derives both in one pass over the pentad's
+five flags (:func:`~w52.pentads._derive`), which runs the checks of both
+sets on every record, and joins the record from JSON text rendered once per
+call for every line and for every flag's affine quadruple.  The CSV table
+(:func:`dump_pentad_csv`) carries no words: one row per pentad with its
+plane ids and the negative edge and context counts, summed over the
+pentad's five flags without building either set (as
+:func:`~w52.pentads.negative_counts` does).  Both writers read each flag's
+facts from ``Space.flags`` once per call, into a table that lives only as
+long as the call.
 
 Files are written through :func:`atomic_open`, so a failed write leaves an
 existing file as it was.
@@ -24,12 +26,19 @@ import csv
 import io
 import json
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 
 from .contextuality import ContextSet
 from .geometry import Space
-from .pentads import Pentad, config_contexts, negative_counts, pentad_to_pentagram
+from .pentads import (
+    Pentad,
+    _derive,
+    _flag_reader,
+    _FlagTable,
+    _negative_counts,
+    _negatives_reader,
+)
 from .pauli import TYPE_OF, WORDS
 
 __all__ = [
@@ -166,14 +175,15 @@ def atomic_open(path: str | os.PathLike[str]) -> Iterator[io.TextIOBase]:
         raise
 
 
-def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Sequence[Pentad]) -> None:
+def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> None:
     """Stream the pentad census document, one record per pentad, to ``fp``.
 
     Writes what ``json.dump(document, fp, indent=2, ensure_ascii=False)``
-    and a newline would.  Each record joins word arrays rendered once per
-    call: its edges come from :func:`~w52.pentads.pentad_to_pentagram` and
-    its contexts from :func:`~w52.pentads.config_contexts`, so every record
-    passes the pentagram's and the configuration's checks on its way out.
+    and a newline would, each record as soon as it is built.  A record joins
+    word arrays rendered once per call: the pentad's edges and contexts come
+    from one pass over its five flags (:func:`~w52.pentads._derive`), which
+    reads each flag's facts once per call and runs the pentagram's and the
+    configuration's checks on every record.
     """
     header = {
         "format": "w52-pentad-census",
@@ -193,34 +203,35 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Sequence[Pentad]) -> 
         return f"[\n{' ' * 12}{words}{indent}]"
 
     contexts_by_line = [fragment(line.points) for line in space.lines]
-    edge_by_quad = {f.affine: fragment(f.affine) for f in space.flags.values()}
+    flag = _FlagTable(_flag_reader(space, fragment)).__getitem__
     item = "," + indent
     fp.write(f"{head}[")
-    sep = "\n    "
+    sep, end = "\n    ", "]"
     for pentad in pentads:
-        pentagram = pentad_to_pentagram(space, pentad)
-        line_ids, negative_contexts = config_contexts(space, pentad)
+        edges, signs, line_ids, negative_contexts, _ = _derive(flag, pentad)
         planes = ",\n        ".join(map(str, pentad.planes))
-        edges = item.join([edge_by_quad[quad] for quad in pentagram.edges])
+        edges = item.join(edges)
         contexts = item.join([contexts_by_line[lid] for lid in line_ids])
         fp.write(
             f'{sep}{{\n      "id": {"null" if pentad.pentad_id is None else pentad.pentad_id},\n'
             f'      "planes": [\n        {planes}\n      ],\n'
             f'      "pentagram": {{\n        "edges": [\n          {edges}\n        ],\n'
-            f'        "negative_edges": {pentagram.negative_edges}\n      }},\n'
+            f'        "negative_edges": {signs.count(-1)}\n      }},\n'
             f'      "config": {{\n        "contexts": [\n          {contexts}\n        ],\n'
             f'        "negative_contexts": {negative_contexts}\n      }}\n    }}'
         )
-        sep = ",\n    "
-    fp.write(("\n  ]" if pentads else "]") + tail + "\n")
+        sep, end = ",\n    ", "\n  ]"
+    fp.write(end + tail + "\n")
 
 
-def dump_pentad_csv(fp: io.TextIOBase, space: Space, pentads: Sequence[Pentad]) -> None:
+def dump_pentad_csv(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> None:
     """Stream the pentad CSV to ``fp``: a header, then one row per pentad with
-    its id, its plane ids and its negative edge and context counts."""
+    its id, its plane ids and its negative edge and context counts, each
+    summed from one packed value per flag, read once per call."""
     fp.write("id,planes,negative_edges,negative_contexts\n")
+    negatives = _FlagTable(_negatives_reader(space)).__getitem__
     for pentad in pentads:
-        negative_edges, negative_contexts = negative_counts(space, pentad)
+        negative_edges, negative_contexts = _negative_counts(negatives, pentad)
         pentad_id = "" if pentad.pentad_id is None else pentad.pentad_id
         planes = " ".join(map(str, pentad.planes))
         fp.write(f"{pentad_id},{planes},{negative_edges},{negative_contexts}\n")

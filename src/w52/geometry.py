@@ -34,7 +34,7 @@ import enum
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import permutations
+from itertools import compress, permutations
 
 from .pauli import (
     COMMUTE_MASK,
@@ -71,12 +71,29 @@ def _mask_of(points: Iterable[int]) -> int:
 #: bit offset of the negative-line count in a line's tally (``Space.line_tally``)
 NEGATIVE_BIT = 256
 
+#: by point id, the tally of that point alone
+_POINT_TALLY = tuple(1 << 4 * p for p in range(64))
+
+# maps the hex digit "0" of a tally's fields to a false byte
+_ZERO_FIELD = bytes.maketrans(b"0", b"\0")
+
 
 def _tally(points: Iterable[int]) -> int:
     """Point counts packed four bits a point, point p at bit 4p, so tallies add
     up field by field; a line's tally also holds 1 at ``NEGATIVE_BIT`` if the
     line is negative."""
-    return sum(1 << 4 * p for p in points)
+    tally = 0
+    for p in points:  # a loop adds large ints faster than sum() does
+        tally += _POINT_TALLY[p]
+    return tally
+
+
+def _tally_points(tally: int) -> tuple[int, ...]:
+    """The points whose field of a tally is nonzero, in increasing order;
+    inverts :func:`_tally` on distinct points.  A field is one hex digit, so
+    the lowest 64 digits, lowest first, select the points."""
+    digits = format(tally, "064x").encode().translate(_ZERO_FIELD)
+    return tuple(compress(range(64), digits[::-1]))
 
 
 def _mask_points(mask: int) -> tuple[int, ...]:

@@ -102,8 +102,8 @@ class ObservableType(enum.Enum):
 
 
 def _checked_record(name: str, fields: str) -> type:
-    """The namedtuple base of a record whose ``__new__`` checks its fields;
-    its ``_make``, and so ``_replace``, builds through that ``__new__``."""
+    """The namedtuple base of a record whose ``__new__`` checks or wraps its
+    fields; its ``_make``, and so ``_replace``, builds through that ``__new__``."""
     base = namedtuple(name, fields)
 
     def _make(cls, iterable):

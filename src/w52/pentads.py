@@ -24,15 +24,18 @@ is lexicographic on the sorted plane id 5-tuples, and pentad ids are the
 ranks in that order.
 
 Each plane of a pentad with its distinguished line is a flag of
-``Space.flags``, which holds that plane's pentagram edge and its sign.  The
-configuration's contexts come from :func:`config_contexts`, which reads the
-flag's six other lines from ``Space.flags`` and checks them by summing
-packed point tallies; :func:`pentad_to_config` and the JSON export both call
-it.  The derived sets are views for display, export and verification; the
-pentad CSV sums its counts over the five flags (:func:`negative_counts`) and
-the census reads its own table in :mod:`w52.taxonomy`.  The tests check both
-tables against both sets derived for every pentad, so the derivations'
-checks still cover the whole census.
+``Space.flags``, which holds that plane's pentagram edge, its sign and the
+plane's six other lines.  Both sets come from one pass over the pentad's
+five flags (:func:`_derive`), which reads each flag's edge, sign, lines and
+their summed point tallies, and runs every check of both sets once;
+:func:`pentad_to_pentagram`, :func:`config_contexts`,
+:func:`pentad_to_config` and the JSON export all go through it.  A call
+that derives many pentads, such as the export, reads each flag once into a
+table local to the call.  The derived sets are views for display, export
+and verification; the pentad CSV sums its counts over the five flags
+(:func:`negative_counts`) and the census reads its own table in
+:mod:`w52.taxonomy`.  The tests check both tables against both sets derived
+for every pentad, so the derivations' checks still cover the whole census.
 
 The pentagram round trip has no context check of its own: the parity-proof
 verifier (:mod:`w52.contextuality`) checks :func:`pentagram_from_edges`, and
@@ -43,8 +46,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from itertools import chain
+from operator import itemgetter
 
-from .geometry import NEGATIVE_BIT, Space, TaxonomyViolation, _mask_points, _span_mask, _tally
+from .geometry import (
+    NEGATIVE_BIT,
+    Space,
+    TaxonomyViolation,
+    _span_mask,
+    _tally,
+    _tally_points,
+)
 from .contextuality import ContextSet, Verdict, WASymbol, analyze, wa_symbol
 from .pauli import Observable, PauliError, _is_id, parse_observable
 
@@ -73,6 +85,9 @@ _COUNT_BITS = (1 << NEGATIVE_BIT) - 1
 
 # ten observables on two contexts each, five contexts of four: 10_2 − 5_4
 _PENTAGRAM_SYMBOL = WASymbol(((2, 10),), ((4, 5),))
+
+# by line id, the bit of that line in a line mask
+_LINE_BIT = tuple(1 << line_id for line_id in range(315))
 
 
 class NotAPentagram(ValueError):
@@ -299,58 +314,78 @@ def _check_plane_id(plane_id: object) -> int:
 # derived contextual sets
 
 
-def negative_counts(space: Space, pentad: Pentad) -> tuple[int, int]:
-    """The pentagram's negative edges and the configuration's negative contexts.
+class _FlagTable(dict):
+    """A table local to one call, from a flag's key (plane id, line id) to
+    ``read(key)``, which it stores when the call first meets the flag.  No
+    table outlives its call, so each call sees the space's tables as they
+    are then."""
 
-    Equal to ``(pentad_to_pentagram(...).negative_edges,
-    pentad_to_config(...).negative_contexts)``, summed over the pentad's five
-    flags without building either set: each flag gives one edge and the
-    plane's negative lines other than the distinguished one.
+    __slots__ = ("_read",)
+
+    def __init__(self, read) -> None:
+        super().__init__()
+        self._read = read
+
+    def __missing__(self, key: tuple[int, int]):
+        facts = self[key] = self._read(key)
+        return facts
+
+
+def _flag_reader(space: Space, edge):
+    """A function from a flag's key to what :func:`_derive` reads of the
+    flag, the tuple ``(affine, edge(affine), sign, lines, tally, mask,
+    plane)``: the flag's affine quadruple and its edge in the form the
+    caller lists, the edge's sign, the six other line ids, the sum of their
+    ``Space.line_tally`` entries, their 315-bit line mask, and the plane's
+    ``Space.plane_tally``."""
+    flags, line_tally, plane_tally = space.flags, space.line_tally, space.plane_tally
+
+    def read(key: tuple[int, int]) -> tuple:
+        affine, sign, _, lines = flags[key]
+        tally = mask = 0
+        for line_id in lines:  # a loop adds large ints faster than sum() does
+            tally += line_tally[line_id]
+            mask |= _LINE_BIT[line_id]
+        return affine, edge(affine), sign, lines, tally, mask, plane_tally[key[0]]
+
+    return read
+
+
+def _derive(flag, pentad: Pentad) -> tuple:
+    """Both contextual sets of a pentad, in one pass over its five flags.
+
+    ``flag`` maps each flag's key to its facts, as :func:`_flag_reader`
+    reads them.  Returns ``(edges, signs, line_ids, negative_contexts,
+    covered)``: the pentagram's edges, in the form ``flag`` gives, in order
+    of their affine quadruples, and their signs; the configuration's 30
+    context line ids, sorted, and its number of negative contexts; and the
+    :func:`~w52.geometry._tally` of the points the five planes cover.
+
+    Raises :class:`TaxonomyViolation` unless the number of negative edges is
+    odd, the contexts are 30 distinct lines, the five planes cover 25 points,
+    the contexts hold each meet point six times and every other covered point
+    twice, and the number of negative contexts is odd.  The occurrences and
+    the negative count are summed from the tallies of the contexts' own
+    lines, read with them from the flags, so they check the lines returned.
     """
-    flags = [space.flags[f] for f in zip(pentad.planes, pentad.distinguished_lines)]
-    return sum(f.sign < 0 for f in flags), sum(f.negative_lines for f in flags)
-
-
-def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
-    """The Mermin pentagram on the pentad's ten meet points.
-
-    Edges are the five distinguished affine quadruples, listed in
-    lexicographic order.
-    """
-    flags = sorted(map(space.flags.__getitem__, zip(pentad.planes, pentad.distinguished_lines)))
-    signs = tuple([f.sign for f in flags])
+    _, edges, signs, lines, tallies, masks, planes = zip(
+        *sorted(map(flag, zip(pentad.planes, pentad.distinguished_lines)))
+    )
     if signs.count(-1) % 2 == 0:
         raise TaxonomyViolation(f"pentagram of pentad {pentad.planes} has even negative count")
-    return Pentagram(tuple(sorted(pentad.meet_points)), tuple(f.affine for f in flags), signs)
-
-
-def config_contexts(space: Space, pentad: Pentad) -> tuple[list[int], int]:
-    """The configuration's 30 context line ids, sorted, and its negative count.
-
-    Checks, raising :class:`TaxonomyViolation`, that the contexts are 30
-    distinct lines, that the five planes cover 25 points, that the contexts
-    hold each meet point six times and every other covered point twice, and
-    that the number of negative contexts is odd.  The occurrences and the
-    negative count are summed from the tallies of the contexts' own line ids
-    (``Space.line_tally``), so they check the lines the caller gets back.
-    """
-    flags, plane_tally = space.flags, space.plane_tally
-    line_ids: list[int] = []
-    covered = 0  # 1 in the field of every point of the five planes
-    for key in zip(pentad.planes, pentad.distinguished_lines):
-        line_ids += flags[key].lines
-        covered |= plane_tally[key[0]]
-    line_ids.sort()
-    if len(set(line_ids)) != 30:
+    m0, m1, m2, m3, m4 = masks
+    if (m0 | m1 | m2 | m3 | m4).bit_count() != 30:  # as len(set(line_ids)) != 30
         raise TaxonomyViolation(f"pentad {pentad.planes} yields repeated contexts")
+    p0, p1, p2, p3, p4 = planes
+    covered = p0 | p1 | p2 | p3 | p4  # 1 in the field of every point of the five planes
     if covered.bit_count() != 25:
         raise TaxonomyViolation(
             f"pentad {pentad.planes} covers {covered.bit_count()} points, expected 25"
         )
-    tally = sum(map(space.line_tally.__getitem__, line_ids))
-    meets = _tally(pentad.meet_points)
+    t0, t1, t2, t3, t4 = tallies
+    tally = t0 + t1 + t2 + t3 + t4
     counts, negative = tally & _COUNT_BITS, tally >> NEGATIVE_BIT
-    expected = 2 * covered + 4 * meets
+    expected = 2 * covered + 4 * _tally(pentad.meet_points)
     if counts != expected:
         p = next(p for p in range(64) if (counts ^ expected) >> 4 * p & 15)
         raise TaxonomyViolation(
@@ -359,6 +394,71 @@ def config_contexts(space: Space, pentad: Pentad) -> tuple[list[int], int]:
         )
     if negative % 2 == 0:
         raise TaxonomyViolation(f"config of pentad {pentad.planes} has even negative count")
+    return edges, signs, sorted(chain.from_iterable(lines)), negative, covered
+
+
+def _derive_alone(space: Space, pentad: Pentad) -> tuple:
+    """:func:`_derive` for a call about one pentad, which meets each flag
+    once and so reads it without a table; the edges are the affine
+    quadruples themselves (``tuple`` returns a tuple as it is)."""
+    return _derive(_flag_reader(space, tuple), pentad)
+
+
+def _negatives_reader(space: Space):
+    """A function from a flag's key to its negative counts packed in one
+    int: 1 if its edge is negative, plus 256 times its plane's other
+    negative lines."""
+    flags = space.flags
+
+    def read(key: tuple[int, int]) -> int:
+        flag = flags[key]
+        return (flag.sign < 0) | flag.negative_lines << 8
+
+    return read
+
+
+def _negative_counts(negatives, pentad: Pentad) -> tuple[int, int]:
+    """Both negative counts of a pentad, summed from ``negatives``, which
+    maps each flag's key to its packed counts (:func:`_negatives_reader`)."""
+    packed = sum(map(negatives, zip(pentad.planes, pentad.distinguished_lines)))
+    return packed & 255, packed >> 8
+
+
+def negative_counts(space: Space, pentad: Pentad) -> tuple[int, int]:
+    """The pentagram's negative edges and the configuration's negative contexts.
+
+    Equal to ``(pentad_to_pentagram(...).negative_edges,
+    pentad_to_config(...).negative_contexts)``, summed over the pentad's five
+    flags without building either set: each flag gives one edge and the
+    plane's negative lines other than the distinguished one.
+    """
+    return _negative_counts(_negatives_reader(space), pentad)
+
+
+def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
+    """The Mermin pentagram on the pentad's ten meet points.
+
+    Edges are the five distinguished affine quadruples, listed in
+    lexicographic order.  The pentad's configuration is derived with it, and
+    all the checks of :func:`config_contexts` run.
+    """
+    edges, signs, _, _, _ = _derive_alone(space, pentad)
+    return Pentagram(tuple(sorted(pentad.meet_points)), edges, signs)
+
+
+def config_contexts(space: Space, pentad: Pentad) -> tuple[list[int], int]:
+    """The configuration's 30 context line ids, sorted, and its negative count.
+
+    Both of the pentad's sets are derived in one pass over its five flags,
+    which raises :class:`TaxonomyViolation` unless the pentagram's number of
+    negative edges is odd, the contexts are 30 distinct lines, the five
+    planes cover 25 points, the contexts hold each meet point six times and
+    every other covered point twice, and the number of negative contexts is
+    odd.  The occurrences and the negative count are summed from the
+    tallies of the contexts' own line ids (``Space.line_tally``), so they
+    check the lines the caller gets back.
+    """
+    _, _, line_ids, negative, _ = _derive_alone(space, pentad)
     return line_ids, negative
 
 
@@ -367,19 +467,13 @@ def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
 
     Contexts are the six non-distinguished lines of each plane, in line-id
     order; observables are all plane points, the ten meet points occurring
-    in six contexts each and the fifteen distinguished-line points in two.
-    All the checks of :func:`config_contexts` run.
+    in six contexts each and the fifteen distinguished-line points in two,
+    read from the tally of covered points that the checks build.  All the
+    checks of :func:`config_contexts` run.
     """
-    line_ids, _ = config_contexts(space, pentad)
-    points_mask = 0
-    for plane_id in pentad.planes:
-        points_mask |= space.plane_masks[plane_id]
-    lines = [space.lines[lid] for lid in line_ids]
-    return ContextualConfig(
-        _mask_points(points_mask),
-        tuple(line.points for line in lines),
-        tuple(line.sign for line in lines),
-    )
+    _, _, line_ids, _, covered = _derive_alone(space, pentad)
+    _, contexts, signs = zip(*itemgetter(*line_ids)(space.lines))  # the Line fields as columns
+    return ContextualConfig(_tally_points(covered), contexts, signs)
 
 
 # ---------------------------------------------------------------------------

@@ -324,18 +324,18 @@ class TestAtomicOut:
         out.write_text("old\n", encoding="utf-8")
         two = io.StringIO()
         export.dump_pentads(two, space, pentads[:2])
-        derive = export.config_contexts
+        derive = export._derive
         seen, written = [], []
 
-        def fail_on_third(space, pentad):
+        def fail_on_third(flag, pentad):
             seen.append(pentad)
             if len(seen) == 3:
                 written.append(f.tell())
                 raise TaxonomyViolation("derivation failed")
-            return derive(space, pentad)
+            return derive(flag, pentad)
 
         # the stream writes the first two records, then fails deriving the third
-        monkeypatch.setattr(export, "config_contexts", fail_on_third)
+        monkeypatch.setattr(export, "_derive", fail_on_third)
         with pytest.raises(TaxonomyViolation):
             with export.atomic_open(out) as f:
                 export.dump_pentads(f, space, pentads[:5])

@@ -144,6 +144,22 @@ class TestAnalyze:
             assert report.negative_count == base.negative_count
             assert report.occurrence_counts == base.occurrence_counts
 
+    def test_occurrence_counts_are_read_only(self):
+        counts = {OBSERVABLES[0]: 2}
+        report = analyze(ContextSet.from_words(CANONICAL_EDGES))._replace(occurrence_counts=counts)
+        counts.clear()  # the report holds a copy of the mapping it was given
+        for r in (report, analyze(ContextSet.from_words(CANONICAL_EDGES))):
+            before = dict(r.occurrence_counts)
+            with pytest.raises(AttributeError):
+                r.occurrence_counts.clear()  # a read-only mapping has no clear
+            with pytest.raises(TypeError):
+                r.occurrence_counts[OBSERVABLES[0]] = 0
+            with pytest.raises(TypeError):
+                del r.occurrence_counts[OBSERVABLES[0]]
+            assert r.occurrence_counts == before and len(before) in (1, 10)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(report)
+
 
 class TestWASymbol:
     def test_canonical_pentagram_symbol(self):

@@ -1,5 +1,6 @@
 """The pentad exports against a second route, the standard json and csv
-modules, and the configuration check against corrupted tables and meets."""
+modules, and against sets built from the planes; the configuration check
+against corrupted tables and meets."""
 
 import csv
 import io
@@ -10,36 +11,35 @@ import re
 import pytest
 
 from w52 import export
-from w52.geometry import Space, TaxonomyViolation
+from w52.geometry import Space, TaxonomyViolation, affine_part
 from w52.pauli import WORDS
 from w52.pentads import (
     config_contexts,
     negative_counts,
     pentad_from_planes,
     pentad_to_config,
+    pentad_to_pentagram,
 )
 
+from conftest import dense_sign
 
-def document(pentads, pentagrams, configs):
-    """The export document as the json module would be given it, one dict per record."""
-    records = []
-    for pentad in pentads:
-        pentagram = pentagrams[pentad.pentad_id]
-        config = configs[pentad.pentad_id]
-        records.append(
-            {
-                "id": pentad.pentad_id,
-                "planes": list(pentad.planes),
-                "pentagram": {
-                    "edges": [[WORDS[p - 1] for p in edge] for edge in pentagram.edges],
-                    "negative_edges": pentagram.negative_edges,
-                },
-                "config": {
-                    "contexts": [[WORDS[p - 1] for p in ctx] for ctx in config.contexts],
-                    "negative_contexts": config.negative_contexts,
-                },
-            }
-        )
+
+def words(rows):
+    return [[WORDS[p - 1] for p in row] for row in rows]
+
+
+def record(pentad, edges, negative_edges, contexts, negative_contexts):
+    """One record of the export document, its edges and contexts given as words."""
+    return {
+        "id": pentad.pentad_id,
+        "planes": list(pentad.planes),
+        "pentagram": {"edges": edges, "negative_edges": negative_edges},
+        "config": {"contexts": contexts, "negative_contexts": negative_contexts},
+    }
+
+
+def document(records):
+    """The export document as the json module would be given it."""
     return {
         "format": "w52-pentad-census",
         "version": 1,
@@ -49,12 +49,89 @@ def document(pentads, pentagrams, configs):
 
 
 def test_dump_pentads_layout_matches_json_module(space, pentads, pentagrams, configs):
-    # no record, one, several, and a run from the middle of the census
+    # no record, one, several, and a run from the middle of the census, each
+    # given as a sequence and as a generator, which has no truth value of its own
     for chosen in (pentads[:0], pentads[:1], pentads[:3], pentads[6000:6010]):
-        buf = io.StringIO()
-        export.dump_pentads(buf, space, chosen)
-        doc = document(chosen, pentagrams, configs)
-        assert buf.getvalue() == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        doc = document([
+            record(
+                pentad,
+                words(pentagrams[pentad.pentad_id].edges),
+                pentagrams[pentad.pentad_id].negative_edges,
+                words(configs[pentad.pentad_id].contexts),
+                configs[pentad.pentad_id].negative_contexts,
+            )
+            for pentad in chosen
+        ])
+        for given in (chosen, (pentad for pentad in chosen)):
+            buf = io.StringIO()
+            export.dump_pentads(buf, space, given)
+            assert buf.getvalue() == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_exports_match_sets_built_from_the_planes_for_every_pentad(space, pentads):
+    # Each flag's edge is its affine part and its contexts are the plane's
+    # other lines, with signs from the dense oracle; neither the flag table
+    # nor the tallies the writers read are used here.
+    negative = {line.points: dense_sign(line.points) < 0 for line in space.lines}
+    flags = {}
+    for plane in space.planes:
+        for line_id in plane.lines:
+            edge = affine_part(plane, space.lines[line_id])
+            six = [space.lines[lid].points for lid in plane.lines if lid != line_id]
+            flags[plane.plane_id, line_id] = (
+                (edge, words([edge])[0]),
+                dense_sign(edge) < 0,
+                list(zip(six, words(six))),
+                sum(map(negative.__getitem__, six)),
+            )
+    records, rows = [], ["id,planes,negative_edges,negative_contexts"]
+    for pentad in pentads:
+        built = [flags[key] for key in zip(pentad.planes, pentad.distinguished_lines)]
+        # both sets are listed in order of their point ids
+        edges = [w for _, w in sorted([edge for edge, _, _, _ in built])]
+        contexts = [w for _, w in sorted([c for _, _, six, _ in built for c in six])]
+        negative_edges = sum([negative for _, negative, _, _ in built])
+        negative_contexts = sum([negative for _, _, _, negative in built])
+        records.append(record(pentad, edges, negative_edges, contexts, negative_contexts))
+        planes = " ".join(map(str, pentad.planes))
+        rows.append(f"{pentad.pentad_id},{planes},{negative_edges},{negative_contexts}")
+    text, table = io.StringIO(), io.StringIO()
+    export.dump_pentads(text, space, pentads)
+    export.dump_pentad_csv(table, space, pentads)
+    assert table.getvalue().splitlines() == rows
+    # No word, key or number holds white space, so the writer's text without
+    # it is what the json module writes without it; the layout is checked
+    # above against the json module's own indentation.
+    compact = text.getvalue().encode().translate(None, b" \n")
+    assert compact == json.dumps(document(records), separators=(",", ":")).encode()
+
+
+def test_a_flag_edited_between_two_calls_is_seen_by_the_second(pentads):
+    # every call reads the flags afresh, so no call keeps facts across calls
+    space = Space()
+    sample = pentads[4321]
+    key = sample.planes[0], sample.distinguished_lines[0]
+    calls = [
+        lambda: export.dump_pentads(io.StringIO(), space, [sample]),
+        lambda: pentad_to_pentagram(space, sample),
+        lambda: config_contexts(space, sample),
+    ]
+    for call in calls:
+        call()
+    before = negative_counts(space, sample)
+    table = io.StringIO()
+    export.dump_pentad_csv(table, space, [sample])
+    flag = space.flags[key]
+    space.flags[key] = flag._replace(sign=-flag.sign)
+    for call in calls:
+        with pytest.raises(TaxonomyViolation, match="pentagram of pentad .* even negative count"):
+            call()
+    edited = io.StringIO()
+    export.dump_pentad_csv(edited, space, [sample])
+    assert negative_counts(space, sample)[0] == before[0] + flag.sign
+    assert edited.getvalue() == table.getvalue().replace(
+        f",{before[0]},{before[1]}\n", f",{before[0] + flag.sign},{before[1]}\n"
+    )
 
 
 CORRUPTIONS = [
