@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from . import export
 from .contextuality import Verdict, analyze, wa_symbol
 from .geometry import Space, TaxonomyViolation
 from .pauli import OBSERVABLES, PauliError
-from .pentads import enumerate_pentads, pentad_to_config, pentad_to_pentagram
+from .pentads import _search, pentad_to_config, pentad_to_pentagram
 from .taxonomy import TypeCountMismatch, classify_census, compare_with_table1, structural_laws
 
 EXIT_OK = 0
@@ -40,12 +41,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     elif args.object == "planes":
         rows = export.planes_table(space)
     else:
-        pentads = enumerate_pentads(space)
+        pentads = _search(space)
         if args.out:
             dump = export.dump_pentads if args.format == "json" else export.dump_pentad_csv
             with export.atomic_open(args.out) as f:
-                dump(f, space, pentads)
-        print(len(pentads))
+                count = dump(f, space, pentads)
+        else:
+            count = sum(1 for _ in pentads)
+        print(count)
         return EXIT_OK
     if args.out:
         if args.format == "json":
@@ -58,7 +61,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _build_census():
     space = Space()
-    return classify_census(space, enumerate_pentads(space))
+    return classify_census(space, _search(space))
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -122,11 +125,10 @@ def _render_word(point_id: int, coords: bool) -> str:
 
 def _cmd_show(args: argparse.Namespace) -> int:
     space = Space()
-    pentads = enumerate_pentads(space)
-    if not 0 <= args.pentad < len(pentads):
+    pentad = next(islice(_search(space), args.pentad, None), None) if args.pentad >= 0 else None
+    if pentad is None:
         print(f"error: unknown pentad id {args.pentad}", file=sys.stderr)
         return EXIT_USAGE
-    pentad = pentads[args.pentad]
     w = lambda p: _render_word(p, args.coords)  # noqa: E731
     print(f"pentad {pentad.pentad_id}: planes {' '.join(str(p) for p in pentad.planes)}")
     if args.view == "planes":
@@ -156,6 +158,13 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _out_path(value: str) -> str:
+    """An ``--out`` path, which must not be empty."""
+    if not value:
+        raise argparse.ArgumentTypeError("the path must not be empty")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="w52",
@@ -167,12 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate points, lines, planes or pentads")
     p.add_argument("object", choices=["points", "lines", "planes", "pentads"])
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.add_argument("--out", metavar="PATH", help="write the table here")
+    p.add_argument("--out", type=_out_path, metavar="PATH", help="write the table here")
     p.add_argument("--coords", action="store_true", help="also show GF(2)^6 coordinates")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("census", help="classify all pentad configurations and write the summary")
-    p.add_argument("--out", metavar="PATH", help="summary CSV destination (default: stdout)")
+    p.add_argument("--out", type=_out_path, metavar="PATH",
+                   help="summary CSV destination (default: stdout)")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("table1", help="compare the census against the 47 reference rows")

@@ -17,7 +17,7 @@ facts from ``Space.flags`` once per call, into a table that lives only as
 long as the call.
 
 Files are written through :func:`atomic_open`, so a failed write leaves an
-existing file as it was.
+existing regular file as it was.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import os
+import stat
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 
@@ -152,12 +153,24 @@ def census_csv(census) -> str:
 def atomic_open(path: str | os.PathLike[str]) -> Iterator[io.TextIOBase]:
     """Open a UTF-8 text file that replaces ``path`` only if the block completes.
 
-    The data goes to a new temporary file in the target directory, which
-    ``os.replace`` moves over ``path`` at the end; on any exception the
-    temporary file is removed and an existing ``path`` is left untouched.
+    The data goes to a new temporary file in the directory of the file that
+    ``path`` resolves to, symlinks followed, which ``os.replace`` moves over
+    that file at the end, so a symlink stays a symlink; on any exception the
+    temporary file is removed and an existing file is left untouched.  An
+    existing ``path`` that is not a regular file, such as a FIFO, a device
+    or ``/dev/stdout``, cannot be replaced and is written in place.
     """
     path = os.fspath(path)
-    head, name = os.path.split(path)
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # no such file yet; any other error is raised by the open below
+        in_place = False
+    if in_place:
+        with open(path, "w", encoding="utf-8") as f:
+            yield f
+        return
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         f = open(tmp, "x", encoding="utf-8")
@@ -167,7 +180,7 @@ def atomic_open(path: str | os.PathLike[str]) -> Iterator[io.TextIOBase]:
         with f:
             yield f
         try:
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
@@ -175,8 +188,9 @@ def atomic_open(path: str | os.PathLike[str]) -> Iterator[io.TextIOBase]:
         raise
 
 
-def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> None:
-    """Stream the pentad census document, one record per pentad, to ``fp``.
+def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> int:
+    """Stream the pentad census document, one record per pentad, to ``fp``,
+    and return the number of records written.
 
     Writes what ``json.dump(document, fp, indent=2, ensure_ascii=False)``
     and a newline would, each record as soon as it is built.  A record joins
@@ -207,7 +221,8 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> 
     item = "," + indent
     fp.write(f"{head}[")
     sep, end = "\n    ", "]"
-    for pentad in pentads:
+    count = 0
+    for count, pentad in enumerate(pentads, 1):
         edges, signs, line_ids, negative_contexts, _ = _derive(flag, pentad)
         planes = ",\n        ".join(map(str, pentad.planes))
         edges = item.join(edges)
@@ -222,19 +237,23 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> 
         )
         sep, end = ",\n    ", "\n  ]"
     fp.write(end + tail + "\n")
+    return count
 
 
-def dump_pentad_csv(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> None:
+def dump_pentad_csv(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> int:
     """Stream the pentad CSV to ``fp``: a header, then one row per pentad with
     its id, its plane ids and its negative edge and context counts, each
-    summed from one packed value per flag, read once per call."""
+    summed from one packed value per flag, read once per call.  Returns the
+    number of rows after the header."""
     fp.write("id,planes,negative_edges,negative_contexts\n")
     negatives = _FlagTable(_negatives_reader(space)).__getitem__
-    for pentad in pentads:
+    count = 0
+    for count, pentad in enumerate(pentads, 1):
         negative_edges, negative_contexts = _negative_counts(negatives, pentad)
         pentad_id = "" if pentad.pentad_id is None else pentad.pentad_id
         planes = " ".join(map(str, pentad.planes))
         fp.write(f"{pentad_id},{planes},{negative_edges},{negative_contexts}\n")
+    return count
 
 
 def load_context_file(path: str | os.PathLike[str]) -> ContextSet:

@@ -21,7 +21,10 @@ alone: it reads the ten meets from ``Space.plane_meets``, requires each
 plane's four to XOR to 0, and reads the distinguished lines from
 ``Space.pair_lines`` (the line through two points).  The canonical output order
 is lexicographic on the sorted plane id 5-tuples, and pentad ids are the
-ranks in that order.
+ranks in that order.  The search is a stream: it walks the lowest planes in
+id order, sorts one plane's finds (at most 448 pentads) and yields each as
+soon as it passes the check, so a command that reads every pentad once never
+holds all 12,096; :func:`enumerate_pentads` collects the stream in a tuple.
 
 Each plane of a pentad with its distinguished line is a flag of
 ``Space.flags``, which holds that plane's pentagram edge, its sign and the
@@ -45,7 +48,7 @@ the flag table checks :func:`pentagram_to_pentad`.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from operator import itemgetter
 
@@ -85,6 +88,9 @@ _COUNT_BITS = (1 << NEGATIVE_BIT) - 1
 
 # ten observables on two contexts each, five contexts of four: 10_2 − 5_4
 _PENTAGRAM_SYMBOL = WASymbol(((2, 10),), ((4, 5),))
+
+# by point id, the bit of that point in a point mask
+_POINT_BIT = tuple(1 << p for p in range(64))
 
 # by line id, the bit of that line in a line mask
 _LINE_BIT = tuple(1 << line_id for line_id in range(315))
@@ -229,8 +235,8 @@ def _build_pentad(
     return Pentad(ids, meets, distinguished, pentad_id)
 
 
-def _search(space: Space) -> list[Pentad]:
-    """All pentads in canonical order, each found once from its lowest plane.
+def _search(space: Space) -> Iterator[Pentad]:
+    """Yield all pentads in canonical order, each found once from its lowest plane.
 
     The other four planes of a pentad meet its lowest plane ``a`` at the four
     points ``q1 < q2 < q3 < q4`` off its distinguished line, one each.  So for
@@ -238,18 +244,25 @@ def _search(space: Space) -> list[Pentad]:
     meeting it only at ``q1``, ``q2`` and ``q3``, and must meet each other in
     three distinct single points.  Each then needs its fourth shared point to
     be the XOR of its three meets, and ``e`` is the closure of those points.
-    A 5-set that fails :func:`_build_pentad`, or is found twice, raises
-    :class:`TaxonomyViolation`.
+
+    The planes are walked in id order, and each plane's finds are sorted and
+    yielded before the next plane is searched, so one plane's group (at most
+    448 pentads) is held at a time; the ids are ranks over the whole stream.
+    A 5-set that fails :func:`_build_pentad`, or is found twice (a repeat
+    has the same lowest plane, so it lands in the same group), raises
+    :class:`TaxonomyViolation` when the stream reaches it.
     """
     meet = space.plane_meets
     plane_id_by_mask = space._plane_id_by_mask
-    found = []
+    bit = _POINT_BIT
+    rank = 0
     for a, plane in enumerate(space.planes):
         meet_a = meet[a]
         partners: dict[int, list[int]] = {p: [] for p in plane.points}
         for x, p in enumerate(meet_a[a + 1 :], a + 1):
             if p:
                 partners[p].append(x)
+        found = []
         for line_id in plane.lines:
             q1, q2, q3, _ = space.flags[a, line_id].affine
             for b in partners[q1]:
@@ -263,25 +276,31 @@ def _search(space: Space) -> list[Pentad]:
                         bd, cd = meet_b[d], meet_c[d]
                         if not bd or not cd or bd == cd or bd == bc or cd == bc:
                             continue
-                        closure = _span_mask(q1 ^ bc ^ bd, q2 ^ bc ^ cd, q3 ^ bd ^ cd)
-                        e = plane_id_by_mask.get(closure)
+                        # the closure of the fourth shared points: _span_mask, from a table
+                        x, y, z = q1 ^ bc ^ bd, q2 ^ bc ^ cd, q3 ^ bd ^ cd
+                        xy = x ^ y
+                        e = plane_id_by_mask.get(
+                            bit[x] | bit[y] | bit[z] | bit[xy] | bit[x ^ z] | bit[y ^ z]
+                            | bit[xy ^ z]
+                        )
                         if e is not None and e > a:
                             found.append(tuple(sorted((a, b, c, d, e))))
-    found.sort()
-    out: list[Pentad] = []
-    for rank, ids in enumerate(found):
-        pentad = _build_pentad(space, ids, rank)
-        if pentad is None or (rank and ids == found[rank - 1]):
-            raise TaxonomyViolation(f"pentad search proposed planes {ids}, not a new pentad")
-        out.append(pentad)
-    return out
+        found.sort()
+        previous = None
+        for ids in found:
+            pentad = _build_pentad(space, ids, rank)
+            if pentad is None or ids == previous:
+                raise TaxonomyViolation(f"pentad search proposed planes {ids}, not a new pentad")
+            yield pentad
+            previous = ids
+            rank += 1
 
 
 def enumerate_pentads(space: Space) -> tuple[Pentad, ...]:
     """All Fano pentads, in lexicographic order of their plane 5-tuples.
 
-    The search sorts what it finds and numbers the pentads in that order, so
-    their ids are their ranks.
+    The search numbers the pentads in that order, so their ids are their
+    ranks.
     """
     return tuple(_search(space))
 

@@ -3,7 +3,10 @@
 import hashlib
 import io
 import json
+import os
 import re
+import stat
+import threading
 
 import pytest
 
@@ -277,19 +280,35 @@ class TestCensusPipeline:
         )
 
     def test_rejected_search_candidate_is_an_error(self, space, pentads, capsys, monkeypatch):
-        build = pentads_module._build_pentad
         victim = pentads[4321].planes
-
-        def reject_one(space, plane_ids, pentad_id=None):
-            return None if tuple(plane_ids) == victim else build(space, plane_ids, pentad_id)
-
-        monkeypatch.setattr(pentads_module, "_build_pentad", reject_one)
+        reject_planes(monkeypatch, victim)
         with pytest.raises(TaxonomyViolation, match=f"planes {re.escape(str(victim))}"):
             pentads_module.enumerate_pentads(space)
         assert main(["census"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: pentad search proposed planes")
+
+    def test_search_yields_before_a_later_rejection(self, space, pentads, monkeypatch):
+        # the search is a stream: pentad 0 comes out before the last is checked
+        reject_planes(monkeypatch, pentads[-1].planes)
+        stream = pentads_module._search(space)
+        first = next(stream)
+        assert first == pentads[0]
+        assert first.pentad_id == 0
+        with pytest.raises(TaxonomyViolation, match="not a new pentad"):
+            for _ in stream:
+                pass
+
+
+def reject_planes(monkeypatch, victim):
+    """Make the one pentad check reject the 5-set ``victim`` alone."""
+    build = pentads_module._build_pentad
+
+    def reject_one(space, plane_ids, pentad_id=None):
+        return None if tuple(plane_ids) == victim else build(space, plane_ids, pentad_id)
+
+    monkeypatch.setattr(pentads_module, "_build_pentad", reject_one)
 
 
 class TestAtomicOut:
@@ -344,6 +363,58 @@ class TestAtomicOut:
         assert list(tmp_path.iterdir()) == [out]
 
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rejection_late_in_the_stream_keeps_existing_file(
+        self, capsys, monkeypatch, tmp_path, pentads, fmt
+    ):
+        out = tmp_path / f"pentads.{fmt}"
+        out.write_text("old\n", encoding="utf-8")
+        reject_planes(monkeypatch, pentads[-1].planes)
+        assert main(["enumerate", "pentads", "--format", fmt, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pentad search proposed planes")
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_fifo_target_is_written_in_place(self, tmp_path):
+        out = tmp_path / "census.fifo"
+        os.mkfifo(out)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(out.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["census", "--out", str(out)]) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert hashlib.sha256(received[0]).hexdigest() == CENSUS_SHA256
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_symlink_target_is_replaced_through_the_link(self, tmp_path):
+        real = tmp_path / "real"
+        real.mkdir()
+        target = real / "census.csv"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["census", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == CENSUS_SHA256
+        assert sorted(tmp_path.iterdir()) == [link, real]
+        assert list(real.iterdir()) == [target]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["enumerate points", "enumerate lines", "enumerate planes", "enumerate pentads", "census"],
+    )
+    def test_empty_path_is_usage_error(self, capsys, command):
+        assert main(command.split() + ["--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --out: the path must not be empty" in captured.err
+
+
 class TestShow:
     def test_show_config_lists_25_observables_30_contexts(self, capsys):
         assert main(["show", "--pentad", "0", "--as", "config"]) == 0
@@ -362,4 +433,8 @@ class TestShow:
         assert "(" in capsys.readouterr().out
 
     def test_unknown_pentad_id(self, capsys):
-        assert main(["show", "--pentad", "12096", "--as", "config"]) == 2
+        for pentad_id in ("12096", "-1"):
+            assert main(["show", "--pentad", pentad_id, "--as", "config"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: unknown pentad id {pentad_id}\n"

@@ -64,7 +64,7 @@ def test_dump_pentads_layout_matches_json_module(space, pentads, pentagrams, con
         ])
         for given in (chosen, (pentad for pentad in chosen)):
             buf = io.StringIO()
-            export.dump_pentads(buf, space, given)
+            assert export.dump_pentads(buf, space, given) == len(chosen)
             assert buf.getvalue() == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -96,8 +96,8 @@ def test_exports_match_sets_built_from_the_planes_for_every_pentad(space, pentad
         planes = " ".join(map(str, pentad.planes))
         rows.append(f"{pentad.pentad_id},{planes},{negative_edges},{negative_contexts}")
     text, table = io.StringIO(), io.StringIO()
-    export.dump_pentads(text, space, pentads)
-    export.dump_pentad_csv(table, space, pentads)
+    assert export.dump_pentads(text, space, iter(pentads)) == len(pentads)
+    assert export.dump_pentad_csv(table, space, iter(pentads)) == len(pentads)
     assert table.getvalue().splitlines() == rows
     # No word, key or number holds white space, so the writer's text without
     # it is what the json module writes without it; the layout is checked

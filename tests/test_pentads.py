@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, strategies as st
 
-from w52.geometry import Space, _mask_of
+from w52.geometry import Space, TaxonomyViolation, _mask_of
 from w52.pauli import OBSERVABLES, WORDS
 from w52.pentads import (
     ClosureNotIsotropicPlane,
@@ -250,6 +250,15 @@ class TestEnumeration:
         )
         assert reference_check(space, spread) == "repeated meet"
         assert _build_pentad(space, spread) is None
+
+    def test_a_5_set_found_twice_is_an_error(self):
+        # each line of plane 0 searched twice: every 5-set of its group is
+        # found twice, and the repeat is rejected
+        space = Space()
+        plane = space.planes[0]
+        space.planes = [plane._replace(lines=plane.lines * 2), *space.planes[1:]]
+        with pytest.raises(TaxonomyViolation, match="not a new pentad"):
+            enumerate_pentads(space)
 
     def test_every_plane_in_448_pentads(self, pentads):
         counts = Counter(plane for p in pentads for plane in p.planes)
