@@ -11,10 +11,10 @@ sets on every record, and joins the record from JSON text rendered once per
 call for every line and for every flag's affine quadruple.  The CSV table
 (:func:`dump_pentad_csv`) carries no words: one row per pentad with its
 plane ids and the negative edge and context counts, summed over the
-pentad's five flags without building either set (as
-:func:`~w52.pentads.negative_counts` does).  Both writers read each flag's
-facts from ``Space.flags`` once per call, into a table that lives only as
-long as the call.
+pentad's five flags without building either set, from the packed per-flag
+table the census reads (:func:`~w52.pentads._pair_table`).  Each writer
+reads the flags afresh on every call, into a table that lives only as long
+as the call.
 
 Files are written through :func:`atomic_open`, so a failed write leaves an
 existing regular file as it was.
@@ -32,14 +32,7 @@ from contextlib import contextmanager
 
 from .contextuality import ContextSet
 from .geometry import Space
-from .pentads import (
-    Pentad,
-    _derive,
-    _flag_reader,
-    _FlagTable,
-    _negative_counts,
-    _negatives_reader,
-)
+from .pentads import Pentad, _derive, _flag_reader, _pair_table
 from .pauli import TYPE_OF, WORDS
 
 __all__ = [
@@ -156,16 +149,18 @@ def atomic_open(path: str | os.PathLike[str]) -> Iterator[io.TextIOBase]:
     The data goes to a new temporary file in the directory of the file that
     ``path`` resolves to, symlinks followed, which ``os.replace`` moves over
     that file at the end, so a symlink stays a symlink; on any exception the
-    temporary file is removed and an existing file is left untouched.  An
-    existing ``path`` that is not a regular file, such as a FIFO, a device
-    or ``/dev/stdout``, cannot be replaced and is written in place.
+    temporary file is removed and an existing file is left untouched.  A
+    replaced file keeps its permission bits; a new one gets the umask's
+    default.  An existing ``path`` that is not a regular file, such as a
+    FIFO, a device or ``/dev/stdout``, cannot be replaced and is written in
+    place.
     """
     path = os.fspath(path)
     try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except OSError:  # no such file yet; any other error is raised by the open below
-        in_place = False
-    if in_place:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as f:
             yield f
         return
@@ -180,12 +175,31 @@ def atomic_open(path: str | os.PathLike[str]) -> Iterator[io.TextIOBase]:
         with f:
             yield f
         try:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
             os.replace(tmp, target)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+class _FlagTable(dict):
+    """A table local to one call, from a flag's key (plane id, line id) to
+    ``read(key)``, which it stores when the call first meets the flag.  No
+    table outlives its call, so each call sees the space's tables as they
+    are then."""
+
+    __slots__ = ("_read",)
+
+    def __init__(self, read) -> None:
+        super().__init__()
+        self._read = read
+
+    def __missing__(self, key: tuple[int, int]):
+        facts = self[key] = self._read(key)
+        return facts
 
 
 def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> int:
@@ -242,17 +256,18 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> 
 
 def dump_pentad_csv(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> int:
     """Stream the pentad CSV to ``fp``: a header, then one row per pentad with
-    its id, its plane ids and its negative edge and context counts, each
-    summed from one packed value per flag, read once per call.  Returns the
-    number of rows after the header."""
+    its id, its plane ids and its negative edge and context counts, summed
+    over its five flags in the census's packed per-flag table, built once per
+    call.  Returns the number of rows after the header."""
     fp.write("id,planes,negative_edges,negative_contexts\n")
-    negatives = _FlagTable(_negatives_reader(space)).__getitem__
+    rows = _pair_table(space)
     count = 0
     for count, pentad in enumerate(pentads, 1):
-        negative_edges, negative_contexts = _negative_counts(negatives, pentad)
+        (a, b, c, d, e), (la, lb, lc, ld, le) = pentad.planes, pentad.distinguished_lines
+        packed = rows[a][la][0] + rows[b][lb][0] + rows[c][lc][0] + rows[d][ld][0] + rows[e][le][0]
         pentad_id = "" if pentad.pentad_id is None else pentad.pentad_id
-        planes = " ".join(map(str, pentad.planes))
-        fp.write(f"{pentad_id},{planes},{negative_edges},{negative_contexts}\n")
+        # field 8 holds the negative-edge flag, field 0 the other negative lines
+        fp.write(f"{pentad_id},{a} {b} {c} {d} {e},{packed >> 64 & 255},{packed & 255}\n")
     return count
 
 

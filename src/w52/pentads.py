@@ -27,18 +27,20 @@ soon as it passes the check, so a command that reads every pentad once never
 holds all 12,096; :func:`enumerate_pentads` collects the stream in a tuple.
 
 Each plane of a pentad with its distinguished line is a flag of
-``Space.flags``, which holds that plane's pentagram edge, its sign and the
-plane's six other lines.  Both sets come from one pass over the pentad's
-five flags (:func:`_derive`), which reads each flag's edge, sign, lines and
-their summed point tallies, and runs every check of both sets once;
-:func:`pentad_to_pentagram`, :func:`config_contexts`,
-:func:`pentad_to_config` and the JSON export all go through it.  A call
-that derives many pentads, such as the export, reads each flag once into a
-table local to the call.  The derived sets are views for display, export
-and verification; the pentad CSV sums its counts over the five flags
-(:func:`negative_counts`) and the census reads its own table in
-:mod:`w52.taxonomy`.  The tests check both tables against both sets derived
-for every pentad, so the derivations' checks still cover the whole census.
+``Space.flags``, which holds that plane's pentagram edge, its sign, the
+plane's other negative lines and its six other lines.  Both sets come from
+one pass over the pentad's five flags (:func:`_derive`), which reads each
+flag's edge, sign, lines and their summed point tallies, and runs every
+check of both sets once; :func:`pentad_to_pentagram`,
+:func:`pentad_to_config` and the JSON export all go through it, the export
+reading each flag once into a table local to the call.  The derived sets
+are views for display, export and verification.  The census and the pentad
+CSV sum their counts over a pentad's five flags from the one packed
+per-flag table, :func:`_pair_table`, which each call builds for itself;
+:func:`negative_counts` sums the two negative counts from ``Space.flags``
+directly.  The tests check the census and the CSV against both sets
+derived for every pentad, so the derivations' checks still cover the whole
+census.
 
 The pentagram round trip has no context check of its own: the parity-proof
 verifier (:mod:`w52.contextuality`) checks :func:`pentagram_from_edges`, and
@@ -54,14 +56,16 @@ from operator import itemgetter
 
 from .geometry import (
     NEGATIVE_BIT,
+    PlaneClass,
     Space,
     TaxonomyViolation,
+    _mask_of,
     _span_mask,
     _tally,
     _tally_points,
 )
 from .contextuality import ContextSet, Verdict, WASymbol, analyze, wa_symbol
-from .pauli import Observable, PauliError, _is_id, parse_observable
+from .pauli import TYPE_OF, Observable, ObservableType, PauliError, _is_id, parse_observable
 
 __all__ = [
     "Pentad",
@@ -69,7 +73,6 @@ __all__ = [
     "ContextualConfig",
     "NotAPentagram",
     "ClosureNotIsotropicPlane",
-    "config_contexts",
     "enumerate_pentads",
     "negative_counts",
     "pentad_from_planes",
@@ -333,23 +336,6 @@ def _check_plane_id(plane_id: object) -> int:
 # derived contextual sets
 
 
-class _FlagTable(dict):
-    """A table local to one call, from a flag's key (plane id, line id) to
-    ``read(key)``, which it stores when the call first meets the flag.  No
-    table outlives its call, so each call sees the space's tables as they
-    are then."""
-
-    __slots__ = ("_read",)
-
-    def __init__(self, read) -> None:
-        super().__init__()
-        self._read = read
-
-    def __missing__(self, key: tuple[int, int]):
-        facts = self[key] = self._read(key)
-        return facts
-
-
 def _flag_reader(space: Space, edge):
     """A function from a flag's key to what :func:`_derive` reads of the
     flag, the tuple ``(affine, edge(affine), sign, lines, tally, mask,
@@ -368,6 +354,39 @@ def _flag_reader(space: Space, edge):
         return affine, edge(affine), sign, lines, tally, mask, plane_tally[key[0]]
 
     return read
+
+
+def _pair_table(space: Space) -> list[dict[int, tuple[int, int]]]:
+    """Census fields of every flag (plane P, line L), as ``rows[P][L]``.
+
+    Each entry is a pair.  The first is packed 8 bits a field: the negative
+    contexts; 2|P∩T| - |(P∖L)∩T| for T = A, B, C, whose sums are twice the
+    configuration's type counts, as each meet point lies in two planes'
+    affine parts; the plane-class one-hots; the negative-edge flag;
+    |(P∖L)∩T|, whose sums are twice the pentagram's.  The second is the mask
+    of (P∖L)∩A on negative edges, else 0.  This is the one packed per-flag
+    table: the census (:func:`~w52.taxonomy.classify_census`) sums every
+    field, and the pentad CSV fields 0 and 8.  Each call builds its own.
+    """
+    by_type = [_mask_of(p for p, t in enumerate(TYPE_OF) if t is k) for k in ObservableType]
+    rows: list[dict[int, tuple[int, int]]] = []
+    for plane_id, plane in enumerate(space.planes):
+        plane_mask = space.plane_masks[plane_id]
+        plane_types = [(plane_mask & t).bit_count() for t in by_type]
+        class_flags = [plane.plane_class is c for c in PlaneClass]
+        row = {}
+        for line_id in plane.lines:
+            flag = space.flags[plane_id, line_id]
+            shared = _mask_of(flag.affine)
+            negative = flag.sign < 0
+            shared_types = [(shared & t).bit_count() for t in by_type]
+            fields = [flag.negative_lines]
+            fields += [2 * n - m for n, m in zip(plane_types, shared_types)]
+            fields += [*class_flags, negative, *shared_types]
+            packed = sum(int(f) << (8 * k) for k, f in enumerate(fields))
+            row[line_id] = packed, shared & by_type[0] if negative else 0
+        rows.append(row)
+    return rows
 
 
 def _derive(flag, pentad: Pentad) -> tuple:
@@ -416,42 +435,21 @@ def _derive(flag, pentad: Pentad) -> tuple:
     return edges, signs, sorted(chain.from_iterable(lines)), negative, covered
 
 
-def _derive_alone(space: Space, pentad: Pentad) -> tuple:
-    """:func:`_derive` for a call about one pentad, which meets each flag
-    once and so reads it without a table; the edges are the affine
-    quadruples themselves (``tuple`` returns a tuple as it is)."""
-    return _derive(_flag_reader(space, tuple), pentad)
-
-
-def _negatives_reader(space: Space):
-    """A function from a flag's key to its negative counts packed in one
-    int: 1 if its edge is negative, plus 256 times its plane's other
-    negative lines."""
-    flags = space.flags
-
-    def read(key: tuple[int, int]) -> int:
-        flag = flags[key]
-        return (flag.sign < 0) | flag.negative_lines << 8
-
-    return read
-
-
-def _negative_counts(negatives, pentad: Pentad) -> tuple[int, int]:
-    """Both negative counts of a pentad, summed from ``negatives``, which
-    maps each flag's key to its packed counts (:func:`_negatives_reader`)."""
-    packed = sum(map(negatives, zip(pentad.planes, pentad.distinguished_lines)))
-    return packed & 255, packed >> 8
-
-
 def negative_counts(space: Space, pentad: Pentad) -> tuple[int, int]:
     """The pentagram's negative edges and the configuration's negative contexts.
 
     Equal to ``(pentad_to_pentagram(...).negative_edges,
     pentad_to_config(...).negative_contexts)``, summed over the pentad's five
-    flags without building either set: each flag gives one edge and the
-    plane's negative lines other than the distinguished one.
+    ``Space.flags`` entries without building either set: each flag gives one
+    edge and the plane's negative lines other than the distinguished one.
     """
-    return _negative_counts(_negatives_reader(space), pentad)
+    flags = space.flags
+    edges = contexts = 0
+    for key in zip(pentad.planes, pentad.distinguished_lines):
+        flag = flags[key]
+        edges += flag.sign < 0
+        contexts += flag.negative_lines
+    return edges, contexts
 
 
 def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
@@ -459,14 +457,20 @@ def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
 
     Edges are the five distinguished affine quadruples, listed in
     lexicographic order.  The pentad's configuration is derived with it, and
-    all the checks of :func:`config_contexts` run.
+    all the checks of :func:`pentad_to_config` run.
     """
-    edges, signs, _, _, _ = _derive_alone(space, pentad)
+    # one pentad meets each flag once, so it reads them without a table
+    edges, signs, _, _, _ = _derive(_flag_reader(space, tuple), pentad)
     return Pentagram(tuple(sorted(pentad.meet_points)), edges, signs)
 
 
-def config_contexts(space: Space, pentad: Pentad) -> tuple[list[int], int]:
-    """The configuration's 30 context line ids, sorted, and its negative count.
+def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
+    """The 25-observable / 30-context configuration hosted by the pentad.
+
+    Contexts are the six non-distinguished lines of each plane, in line-id
+    order; observables are all plane points, the ten meet points occurring
+    in six contexts each and the fifteen distinguished-line points in two,
+    read from the tally of covered points that the checks build.
 
     Both of the pentad's sets are derived in one pass over its five flags,
     which raises :class:`TaxonomyViolation` unless the pentagram's number of
@@ -477,20 +481,7 @@ def config_contexts(space: Space, pentad: Pentad) -> tuple[list[int], int]:
     tallies of the contexts' own line ids (``Space.line_tally``), so they
     check the lines the caller gets back.
     """
-    _, _, line_ids, negative, _ = _derive_alone(space, pentad)
-    return line_ids, negative
-
-
-def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
-    """The 25-observable / 30-context configuration hosted by the pentad.
-
-    Contexts are the six non-distinguished lines of each plane, in line-id
-    order; observables are all plane points, the ten meet points occurring
-    in six contexts each and the fifteen distinguished-line points in two,
-    read from the tally of covered points that the checks build.  All the
-    checks of :func:`config_contexts` run.
-    """
-    _, _, line_ids, _, covered = _derive_alone(space, pentad)
+    _, _, line_ids, _, covered = _derive(_flag_reader(space, tuple), pentad)
     _, contexts, signs = zip(*itemgetter(*line_ids)(space.lines))  # the Line fields as columns
     return ContextualConfig(_tally_points(covered), contexts, signs)
 

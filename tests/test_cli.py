@@ -326,6 +326,22 @@ class TestAtomicOut:
         assert out.read_text(encoding="utf-8") == "new\n"
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_replaced_file_keeps_its_permissions(self, tmp_path):
+        # the temporary file is made under the umask: a file it replaces keeps
+        # its own mode, and a new file gets the umask's default
+        kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+        kept.write_text("old\n", encoding="utf-8")
+        kept.chmod(0o600)
+        umask = os.umask(0o022)
+        try:
+            for out in (kept, new):
+                assert main(["enumerate", "points", "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+        assert kept.read_bytes() == new.read_bytes() != b"old\n"
+
     def test_missing_directory_is_usage_error_naming_target(self, capsys, tmp_path):
         out = tmp_path / "missing" / "planes.csv"
         assert main(["enumerate", "planes", "--out", str(out)]) == 2

@@ -14,7 +14,6 @@ from w52 import export
 from w52.geometry import Space, TaxonomyViolation, affine_part
 from w52.pauli import WORDS
 from w52.pentads import (
-    config_contexts,
     negative_counts,
     pentad_from_planes,
     pentad_to_config,
@@ -114,7 +113,7 @@ def test_a_flag_edited_between_two_calls_is_seen_by_the_second(pentads):
     calls = [
         lambda: export.dump_pentads(io.StringIO(), space, [sample]),
         lambda: pentad_to_pentagram(space, sample),
-        lambda: config_contexts(space, sample),
+        lambda: pentad_to_config(space, sample),
     ]
     for call in calls:
         call()
@@ -196,7 +195,7 @@ def test_a_wrong_meet_point_is_rejected(space, pentads, to):
     # the meets' tally is summed from the pentad's own meet points, so a
     # pentad that names a wrong one fails the occurrence check
     sample = pentads[4321]
-    config_contexts(space, sample)
+    pentad_to_config(space, sample)
     meets = sample.meet_points
     covered = {p for plane_id in sample.planes for p in space.planes[plane_id].points}
     wrong = {
@@ -207,7 +206,7 @@ def test_a_wrong_meet_point_is_rejected(space, pentads, to):
     bad = sample._replace(meet_points=(wrong,) + meets[1:])
     message = re.escape(f"contexts of pentad {sample.planes}, expected")
     with pytest.raises(TaxonomyViolation, match=message):
-        config_contexts(space, bad)
+        pentad_to_config(space, bad)
     with pytest.raises(TaxonomyViolation):
         export.dump_pentads(io.StringIO(), space, [bad])
 
@@ -239,7 +238,7 @@ def test_repeated_contexts_that_keep_every_tally_are_rejected(pentads):
         for moves in itertools.product(*map(swaps, chosen))
         if sum(map(shift, moves)) == 0
     )
-    before = config_contexts(space, sample)
+    before = [space.line_id_of(c) for c in pentad_to_config(space, sample).contexts]
     for flag, swap in corruption:
         six = list(space.flags[flag].lines)
         for kept, dropped in swap:
@@ -248,10 +247,10 @@ def test_repeated_contexts_that_keep_every_tally_are_rejected(pentads):
     line_ids = [lid for flag in flags for lid in space.flags[flag].lines]
     assert len(set(line_ids)) == 24
     assert sum(map(space.line_tally.__getitem__, line_ids)) == sum(
-        map(space.line_tally.__getitem__, before[0])
+        map(space.line_tally.__getitem__, before)
     )
     with pytest.raises(TaxonomyViolation, match="repeated contexts"):
-        config_contexts(space, sample)
+        pentad_to_config(space, sample)
 
 
 def test_dump_pentad_csv_matches_csv_module(space, pentads):
