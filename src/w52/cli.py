@@ -125,7 +125,8 @@ def _render_word(point_id: int, coords: bool) -> str:
 
 def _cmd_show(args: argparse.Namespace) -> int:
     space = Space()
-    pentad = next(islice(_search(space), args.pentad, None), None) if args.pentad >= 0 else None
+    in_range = 0 <= args.pentad <= sys.maxsize  # the most islice takes; no pentad is past it
+    pentad = next(islice(_search(space), args.pentad, None), None) if in_range else None
     if pentad is None:
         print(f"error: unknown pentad id {args.pentad}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,8 +13,8 @@ call for every line and for every flag's affine quadruple.  The CSV table
 plane ids and the negative edge and context counts, summed over the
 pentad's five flags without building either set, from the packed per-flag
 table the census reads (:func:`~w52.pentads._pair_table`).  Each writer
-reads the flags afresh on every call, into a table that lives only as long
-as the call.
+reads the flags afresh on every call, into a flag reader or table that
+lives only as long as the call.
 
 Files are written through :func:`atomic_open`, so a failed write leaves an
 existing regular file as it was.
@@ -185,23 +185,6 @@ def atomic_open(path: str | os.PathLike[str]) -> Iterator[io.TextIOBase]:
         raise
 
 
-class _FlagTable(dict):
-    """A table local to one call, from a flag's key (plane id, line id) to
-    ``read(key)``, which it stores when the call first meets the flag.  No
-    table outlives its call, so each call sees the space's tables as they
-    are then."""
-
-    __slots__ = ("_read",)
-
-    def __init__(self, read) -> None:
-        super().__init__()
-        self._read = read
-
-    def __missing__(self, key: tuple[int, int]):
-        facts = self[key] = self._read(key)
-        return facts
-
-
 def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> int:
     """Stream the pentad census document, one record per pentad, to ``fp``,
     and return the number of records written.
@@ -231,13 +214,13 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> 
         return f"[\n{' ' * 12}{words}{indent}]"
 
     contexts_by_line = [fragment(line.points) for line in space.lines]
-    flag = _FlagTable(_flag_reader(space, fragment)).__getitem__
+    reader = _flag_reader(space, fragment)
     item = "," + indent
     fp.write(f"{head}[")
     sep, end = "\n    ", "]"
     count = 0
     for count, pentad in enumerate(pentads, 1):
-        edges, signs, line_ids, negative_contexts, _ = _derive(flag, pentad)
+        edges, signs, line_ids, negative_contexts, _ = _derive(reader, pentad)
         planes = ",\n        ".join(map(str, pentad.planes))
         edges = item.join(edges)
         contexts = item.join([contexts_by_line[lid] for lid in line_ids])

@@ -17,12 +17,14 @@ line through two points) is built with the lines and gives the planes their
 lines.  ``Space.flags`` holds all 945 flags (a plane with one line singled
 out): the plane's four points off the line, their sign, the plane's other
 negative lines and its six other lines.  A Fano pentad is five flags; its
-counts and its configuration's contexts are read from them.  Three tables
+counts and its configuration's contexts are read from them.  Four tables
 are built on first use, so building a ``Space`` does not pay for them:
 ``Space.plane_meets`` (by plane, a row of the single points where it meets
-the others) for the pentad search and check, and ``Space.line_tally`` and
+the others) for the pentad search and check; ``Space.line_tally`` and
 ``Space.plane_tally`` (the points of each line and plane, packed by
-:func:`_tally`) for the configuration check.
+:func:`_tally`) for the configuration check; and ``Space.flag_ranks`` (each
+flag's rank in the order of the affine quadruples), by which a pentad's
+derivation orders its flags.
 
 Classification failures raise :class:`TaxonomyViolation`: these facts are
 structural, so a violation signals a bug, never bad input.
@@ -299,8 +301,9 @@ class Space:
     """The labeled polar space: points, lines, planes, flags, incidence queries.
 
     Construction enumerates everything once, except ``plane_meets``,
-    ``line_tally`` and ``plane_tally``, which are built on first use;
-    afterwards the object is immutable in practice and safe to share.
+    ``line_tally``, ``plane_tally`` and ``flag_ranks``, which are built on
+    first use; afterwards the object is immutable in practice and safe to
+    share.
     """
 
     points: tuple[Observable, ...]
@@ -346,6 +349,15 @@ class Space:
                 if inter and inter.bit_count() == 1:
                     meet[i][j] = meet[j][i] = inter.bit_length() - 1
         return [bytes(row) for row in meet]
+
+    @cached_property
+    def flag_ranks(self) -> list[dict[int, int]]:
+        """By plane id, then line id, the flag's rank in 0..944 in the order
+        of the flags' affine quadruples: no two flags share one, as the four
+        points of a Fano plane off a line span the plane."""
+        by_affine = sorted(self.flags, key=lambda key: self.flags[key].affine)
+        rank = {key: i for i, key in enumerate(by_affine)}
+        return [{lid: rank[i, lid] for lid in plane.lines} for i, plane in enumerate(self.planes)]
 
     @cached_property
     def line_tally(self) -> list[int]:

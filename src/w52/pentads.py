@@ -29,14 +29,16 @@ holds all 12,096; :func:`enumerate_pentads` collects the stream in a tuple.
 Each plane of a pentad with its distinguished line is a flag of
 ``Space.flags``, which holds that plane's pentagram edge, its sign, the
 plane's other negative lines and its six other lines.  Both sets come from
-one pass over the pentad's five flags (:func:`_derive`), which reads each
-flag's edge, sign, lines and their summed point tallies, and runs every
-check of both sets once; :func:`pentad_to_pentagram`,
-:func:`pentad_to_config` and the JSON export all go through it, the export
-reading each flag once into a table local to the call.  The derived sets
-are views for display, export and verification.  The census and the pentad
-CSV sum their counts over a pentad's five flags from the one packed
-per-flag table, :func:`_pair_table`, which each call builds for itself;
+one pass over the pentad's five flags (:func:`_derive`), which takes them
+in the order of ``Space.flag_ranks``, reads each flag's edge, sign, lines
+and their summed point tallies, and runs every check of both sets once.
+:func:`pentad_to_pentagram`, :func:`pentad_to_config` and the JSON export
+all go through it with a :func:`_flag_reader` of their own, whose slots
+hold what the call has read of each flag, so the export reads each flag
+once and no call sees another's.  The derived sets are views for display,
+export and verification.  The census and the pentad CSV sum their counts
+over a pentad's five flags from the one packed per-flag table,
+:func:`_pair_table`, which each call builds for itself;
 :func:`negative_counts` sums the two negative counts from ``Space.flags``
 directly.  The tests check the census and the CSV against both sets
 derived for every pentad, so the derivations' checks still cover the whole
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
 from operator import itemgetter
 
 from .geometry import (
@@ -336,24 +337,34 @@ def _check_plane_id(plane_id: object) -> int:
 # derived contextual sets
 
 
-def _flag_reader(space: Space, edge):
-    """A function from a flag's key to what :func:`_derive` reads of the
-    flag, the tuple ``(affine, edge(affine), sign, lines, tally, mask,
-    plane)``: the flag's affine quadruple and its edge in the form the
-    caller lists, the edge's sign, the six other line ids, the sum of their
-    ``Space.line_tally`` entries, their 315-bit line mask, and the plane's
-    ``Space.plane_tally``."""
-    flags, line_tally, plane_tally = space.flags, space.line_tally, space.plane_tally
+def _flag_reader(space: Space, edge) -> tuple:
+    """What :func:`_derive` reads of the flags, as ``(slots, read)``.
 
-    def read(key: tuple[int, int]) -> tuple:
-        affine, sign, _, lines = flags[key]
-        tally = mask = 0
-        for line_id in lines:  # a loop adds large ints faster than sum() does
-            tally += line_tally[line_id]
-            mask |= _LINE_BIT[line_id]
-        return affine, edge(affine), sign, lines, tally, mask, plane_tally[key[0]]
+    ``read(plane_id, line_id)`` returns the flag's rank in
+    ``Space.flag_ranks``, and the first time the call meets the flag stores
+    ``slots[rank] = (edge(affine), sign, lines, tally, mask, plane)``: the
+    flag's affine quadruple in the form the caller lists, its sign, the six
+    other line ids, the sum of their ``Space.line_tally`` entries, their
+    315-bit line mask, and the plane's ``Space.plane_tally``.  Each call
+    makes its own reader, so no call sees facts another read.  The slots are
+    a dict, as allocating 945 list slots would slow a single-pentad call by
+    about a quarter.
+    """
+    flags, ranks, slots = space.flags, space.flag_ranks, {}
+    line_tally, plane_tally = space.line_tally, space.plane_tally
 
-    return read
+    def read(plane_id: int, line_id: int) -> int:
+        rank = ranks[plane_id][line_id]
+        if rank not in slots:
+            affine, sign, _, lines = flags[plane_id, line_id]
+            tally = mask = 0
+            for other in lines:  # a loop adds large ints faster than sum() does
+                tally += line_tally[other]
+                mask |= _LINE_BIT[other]
+            slots[rank] = edge(affine), sign, lines, tally, mask, plane_tally[plane_id]
+        return rank
+
+    return slots, read
 
 
 def _pair_table(space: Space) -> list[dict[int, tuple[int, int]]]:
@@ -389,15 +400,16 @@ def _pair_table(space: Space) -> list[dict[int, tuple[int, int]]]:
     return rows
 
 
-def _derive(flag, pentad: Pentad) -> tuple:
+def _derive(reader: tuple, pentad: Pentad) -> tuple:
     """Both contextual sets of a pentad, in one pass over its five flags.
 
-    ``flag`` maps each flag's key to its facts, as :func:`_flag_reader`
-    reads them.  Returns ``(edges, signs, line_ids, negative_contexts,
-    covered)``: the pentagram's edges, in the form ``flag`` gives, in order
-    of their affine quadruples, and their signs; the configuration's 30
-    context line ids, sorted, and its number of negative contexts; and the
-    :func:`~w52.geometry._tally` of the points the five planes cover.
+    ``reader`` is a :func:`_flag_reader`, whose slots are read in the order
+    of the five flags' ranks.  Returns ``(edges, signs, line_ids,
+    negative_contexts, covered)``: the pentagram's edges, in the form the
+    reader gives, in order of their affine quadruples, and their signs; the
+    configuration's 30 context line ids, sorted, and its number of negative
+    contexts; and the :func:`~w52.geometry._tally` of the points the five
+    planes cover.
 
     Raises :class:`TaxonomyViolation` unless the number of negative edges is
     odd, the contexts are 30 distinct lines, the five planes cover 25 points,
@@ -406,22 +418,21 @@ def _derive(flag, pentad: Pentad) -> tuple:
     the negative count are summed from the tallies of the contexts' own
     lines, read with them from the flags, so they check the lines returned.
     """
-    _, edges, signs, lines, tallies, masks, planes = zip(
-        *sorted(map(flag, zip(pentad.planes, pentad.distinguished_lines)))
-    )
+    slots, read = reader
+    order = sorted(map(read, pentad.planes, pentad.distinguished_lines))
+    f0, f1, f2, f3, f4 = map(slots.__getitem__, order)
+    edges = f0[0], f1[0], f2[0], f3[0], f4[0]
+    signs = f0[1], f1[1], f2[1], f3[1], f4[1]
     if signs.count(-1) % 2 == 0:
         raise TaxonomyViolation(f"pentagram of pentad {pentad.planes} has even negative count")
-    m0, m1, m2, m3, m4 = masks
-    if (m0 | m1 | m2 | m3 | m4).bit_count() != 30:  # as len(set(line_ids)) != 30
+    if (f0[4] | f1[4] | f2[4] | f3[4] | f4[4]).bit_count() != 30:  # as len(set(line_ids)) != 30
         raise TaxonomyViolation(f"pentad {pentad.planes} yields repeated contexts")
-    p0, p1, p2, p3, p4 = planes
-    covered = p0 | p1 | p2 | p3 | p4  # 1 in the field of every point of the five planes
+    covered = f0[5] | f1[5] | f2[5] | f3[5] | f4[5]  # 1 in the field of each covered point
     if covered.bit_count() != 25:
         raise TaxonomyViolation(
             f"pentad {pentad.planes} covers {covered.bit_count()} points, expected 25"
         )
-    t0, t1, t2, t3, t4 = tallies
-    tally = t0 + t1 + t2 + t3 + t4
+    tally = f0[3] + f1[3] + f2[3] + f3[3] + f4[3]
     counts, negative = tally & _COUNT_BITS, tally >> NEGATIVE_BIT
     expected = 2 * covered + 4 * _tally(pentad.meet_points)
     if counts != expected:
@@ -432,7 +443,7 @@ def _derive(flag, pentad: Pentad) -> tuple:
         )
     if negative % 2 == 0:
         raise TaxonomyViolation(f"config of pentad {pentad.planes} has even negative count")
-    return edges, signs, sorted(chain.from_iterable(lines)), negative, covered
+    return edges, signs, sorted(f0[2] + f1[2] + f2[2] + f3[2] + f4[2]), negative, covered
 
 
 def negative_counts(space: Space, pentad: Pentad) -> tuple[int, int]:
@@ -459,7 +470,6 @@ def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
     lexicographic order.  The pentad's configuration is derived with it, and
     all the checks of :func:`pentad_to_config` run.
     """
-    # one pentad meets each flag once, so it reads them without a table
     edges, signs, _, _, _ = _derive(_flag_reader(space, tuple), pentad)
     return Pentagram(tuple(sorted(pentad.meet_points)), edges, signs)
 

@@ -449,7 +449,7 @@ class TestShow:
         assert "(" in capsys.readouterr().out
 
     def test_unknown_pentad_id(self, capsys):
-        for pentad_id in ("12096", "-1"):
+        for pentad_id in ("12096", "-1", "9223372036854775808", "99999999999999999999"):
             assert main(["show", "--pentad", pentad_id, "--as", "config"]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""

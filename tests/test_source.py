@@ -144,6 +144,16 @@ def test_census_streams_the_pentads(tmp_path):
     assert census - peak_mb("import w52.cli") < 4
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_json_export_streams_the_pentads(tmp_path):
+    # the JSON writer holds one record and the per-call flag slots, not the
+    # 39 MB document or all 12,096 pentads
+    out = str(tmp_path / "pentads.json")
+    args = ["enumerate", "pentads", "--format", "json", "--out", out]
+    export = peak_mb(f"from w52.cli import main; main({args!r})")
+    assert export - peak_mb("import w52.cli") < 4
+
+
 def names_in(path):
     """Every imported name, variable name and attribute name in a source file."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
