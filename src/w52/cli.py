@@ -17,7 +17,8 @@ from .contextuality import Verdict, analyze, wa_symbol
 from .geometry import Space, TaxonomyViolation
 from .pauli import OBSERVABLES, PauliError
 from .pentads import _search, pentad_to_config, pentad_to_pentagram
-from .taxonomy import TypeCountMismatch, classify_census, compare_with_table1, structural_laws
+from .taxonomy import (_PENTAD_COUNT, TypeCountMismatch, classify_census, compare_with_table1,
+                       structural_laws)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -124,12 +125,13 @@ def _render_word(point_id: int, coords: bool) -> str:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    space = Space()
-    in_range = 0 <= args.pentad <= sys.maxsize  # the most islice takes; no pentad is past it
-    pentad = next(islice(_search(space), args.pentad, None), None) if in_range else None
-    if pentad is None:
+    if not 0 <= args.pentad < _PENTAD_COUNT:
         print(f"error: unknown pentad id {args.pentad}", file=sys.stderr)
         return EXIT_USAGE
+    space = Space()
+    pentad = next(islice(_search(space), args.pentad, None), None)
+    if pentad is None:
+        raise TaxonomyViolation(f"the pentad search ended before pentad {args.pentad}")
     w = lambda p: _render_word(p, args.coords)  # noqa: E731
     print(f"pentad {pentad.pentad_id}: planes {' '.join(str(p) for p in pentad.planes)}")
     if args.view == "planes":

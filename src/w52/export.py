@@ -1,7 +1,8 @@
 """Deterministic JSON/CSV export of the space tables and the pentad census.
 
 All output is byte-deterministic: rows follow canonical ids, JSON keys are
-emitted in a fixed order, and every file ends with a newline.
+emitted in a fixed order, and every file ends with a newline.  Every CSV
+table, the census summary included, goes through :func:`render_csv`.
 
 The pentad census has two export forms, both streamed one pentad at a
 time.  The JSON document carries both contextual sets of every pentad as
@@ -128,18 +129,13 @@ _CENSUS_COLUMNS = (
 
 def census_csv(census) -> str:
     """The census summary table, one row per type in canonical order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CENSUS_COLUMNS)
+    rows = []
     for record in census.records:
         sig = record.signature
-        writer.writerow(
-            (record.assigned_type, record.multiplicity)
-            + sig.table_row
-            + sig.pentagram
-            + (record.example_pentad,)
-        )
-    return buf.getvalue()
+        fields = (record.assigned_type, record.multiplicity, *sig.table_row, *sig.pentagram,
+                  record.example_pentad)
+        rows.append(dict(zip(_CENSUS_COLUMNS, fields)))
+    return render_csv(rows)
 
 
 @contextmanager

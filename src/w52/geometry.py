@@ -16,11 +16,15 @@ Each incidence fact has one table in ``Space``.  ``Space.pair_lines`` (the
 line through two points) is built with the lines and gives the planes their
 lines.  ``Space.flags`` holds all 945 flags (a plane with one line singled
 out): the plane's four points off the line, their sign, the plane's other
-negative lines and its six other lines.  A Fano pentad is five flags; its
-counts and its configuration's contexts are read from them.  Four tables
-are built on first use, so building a ``Space`` does not pay for them:
-``Space.plane_meets`` (by plane, a row of the single points where it meets
-the others) for the pentad search and check; ``Space.line_tally`` and
+negative lines and its six other lines.  The four points' sign is the
+plane's sign times the line's, as the seven commuting points of the plane
+multiply to the product of those four and the line's three; the fold that
+signs each line and plane checks their points, so a flag needs no fold of
+its own.  A Fano pentad is five flags; its counts and its configuration's
+contexts are read from them.  Four tables are built on first use, so
+building a ``Space`` does not pay for them: ``Space.plane_meets`` (by
+plane, a row of the single points where it meets the others) for the
+pentad search and check; ``Space.line_tally`` and
 ``Space.plane_tally`` (the points of each line and plane, packed by
 :func:`_tally`) for the configuration check; and ``Space.flag_ranks`` (each
 flag's rank in the order of the affine quadruples), by which a pentad's
@@ -166,9 +170,10 @@ class Plane(namedtuple("Plane", "plane_id points lines sign b_line plane_class")
 class Flag(namedtuple("Flag", "affine sign negative_lines lines")):
     """A plane with one of its lines singled out, as a pentad reads it:
     ``affine`` holds the plane's four point ids (ints) off the line, sorted;
-    ``sign`` (+1 or -1) is the sign of their product; ``negative_lines``
-    (int) counts the plane's negative lines other than this one; ``lines``
-    holds its six other line ids (ints), in ``Plane.lines`` order."""
+    ``sign`` (+1 or -1) is the sign of their product, the plane's sign times
+    the line's; ``negative_lines`` (int) counts the plane's negative lines
+    other than this one; ``lines`` holds its six other line ids (ints), in
+    ``Plane.lines`` order."""
 
     __slots__ = ()
 
@@ -328,10 +333,11 @@ class Space:
         for plane_id, plane in enumerate(self.planes):
             negative = {lid for lid in plane.lines if self.lines[lid].sign < 0}
             for i, lid in enumerate(plane.lines):
-                quad = _mask_points(self.plane_masks[plane_id] ^ self.lines[lid].mask)
+                line = self.lines[lid]
+                quad = _mask_points(self.plane_masks[plane_id] ^ line.mask)
                 n = len(negative) - (lid in negative)
                 others = plane.lines[:i] + plane.lines[i + 1 :]
-                self.flags[plane_id, lid] = Flag(quad, _sign_of_points(quad), n, others)
+                self.flags[plane_id, lid] = Flag(quad, plane.sign * line.sign, n, others)
         self._plane_id_by_mask = {m: i for i, m in enumerate(self.plane_masks)}
 
     @cached_property

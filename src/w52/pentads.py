@@ -96,9 +96,6 @@ _PENTAGRAM_SYMBOL = WASymbol(((2, 10),), ((4, 5),))
 # by point id, the bit of that point in a point mask
 _POINT_BIT = tuple(1 << p for p in range(64))
 
-# by line id, the bit of that line in a line mask
-_LINE_BIT = tuple(1 << line_id for line_id in range(315))
-
 
 class NotAPentagram(ValueError):
     """The context set is not a Mermin pentagram."""
@@ -345,8 +342,10 @@ def _flag_reader(space: Space, edge) -> tuple:
     ``slots[rank] = (edge(affine), sign, lines, tally, mask, plane)``: the
     flag's affine quadruple in the form the caller lists, its sign, the six
     other line ids, the sum of their ``Space.line_tally`` entries, their
-    315-bit line mask, and the plane's ``Space.plane_tally``.  Each call
-    makes its own reader, so no call sees facts another read.  The slots are
+    315-bit line mask (bit ``line_id`` set for each, by a shift, as the
+    reader meets each flag at most once), and the plane's
+    ``Space.plane_tally``.  Each call makes its own reader, so no call sees
+    facts another read.  The slots are
     a dict, as allocating 945 list slots would slow a single-pentad call by
     about a quarter.
     """
@@ -360,7 +359,7 @@ def _flag_reader(space: Space, edge) -> tuple:
             tally = mask = 0
             for other in lines:  # a loop adds large ints faster than sum() does
                 tally += line_tally[other]
-                mask |= _LINE_BIT[other]
+                mask |= 1 << other
             slots[rank] = edge(affine), sign, lines, tally, mask, plane_tally[plane_id]
         return rank
 

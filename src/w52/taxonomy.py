@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable
 
-from .geometry import Space
+from .geometry import Space, TaxonomyViolation
 from .pauli import _checked_record
 from .pentads import Pentad, _pair_table
 
@@ -145,9 +145,10 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
     (:func:`~w52.pentads._pair_table`) and the count of their type-A meet
     points on negative edges, its signature is unpacked from that key, and
     its example is its lowest pentad id.  Raises
-    ValueError naming the first pentad that has no id, and
+    ValueError naming the first pentad that has no id,
     :class:`TypeCountMismatch` (with the census attached) if the number of
-    distinct signatures is not 47.
+    distinct signatures is not 47, and then :class:`TaxonomyViolation` if the
+    types hold other than the paper's 12,096 pentads.
     """
     rows = _pair_table(space)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -176,6 +177,8 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
     census = Census(records, sum(r.multiplicity for r in records))
     if len(records) != 47:
         raise TypeCountMismatch(census)
+    if census.total != _PENTAD_COUNT:
+        raise TaxonomyViolation(f"census holds {census.total} pentads, expected {_PENTAD_COUNT}")
     return census
 
 
@@ -200,6 +203,8 @@ class Table1Row(
     def table_row(self) -> tuple[int, int, int, int, int, int, int, int]:
         return self[1:9]
 
+
+_PENTAD_COUNT = 12096  # the paper's number of Fano pentads, which the 47 types share
 
 # The published 47-type classification: (T, C-, O_A, O_B, O_C, F-, F+a, F+b,
 # F+c, pentagram type).  The last column is kept for documentation only.

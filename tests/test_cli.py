@@ -279,6 +279,13 @@ class TestCensusPipeline:
             "a_on_negative=1))"
         )
 
+    def test_search_short_of_a_pentad_fails_table1(self, pentads, capsys, monkeypatch):
+        monkeypatch.setattr("w52.cli._search", lambda space: iter(pentads[1:]))
+        assert main(["table1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: census holds 12095 pentads, expected 12096\n"
+
     def test_rejected_search_candidate_is_an_error(self, space, pentads, capsys, monkeypatch):
         victim = pentads[4321].planes
         reject_planes(monkeypatch, victim)
@@ -448,9 +455,23 @@ class TestShow:
         assert main(["show", "--pentad", "12095", "--as", "planes", "--coords"]) == 0
         assert "(" in capsys.readouterr().out
 
-    def test_unknown_pentad_id(self, capsys):
-        for pentad_id in ("12096", "-1", "9223372036854775808", "99999999999999999999"):
+    def test_unknown_pentad_id(self, capsys, monkeypatch):
+        # an id outside the census is rejected before the space or the search
+        def refuse(*args):
+            pytest.fail("an unknown id built the space or ran the search")
+
+        monkeypatch.setattr("w52.cli.Space", refuse)
+        monkeypatch.setattr("w52.cli._search", refuse)
+        ids = ("12096", "-1", "9223372036854775807", "9223372036854775808", "99999999999999999999")
+        for pentad_id in ids:
             assert main(["show", "--pentad", pentad_id, "--as", "config"]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: unknown pentad id {pentad_id}\n"
+
+    def test_search_short_of_the_id_is_an_error(self, pentads, capsys, monkeypatch):
+        monkeypatch.setattr("w52.cli._search", lambda space: iter(pentads[:10]))
+        assert main(["show", "--pentad", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the pentad search ended before pentad 10\n"

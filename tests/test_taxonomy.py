@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from w52.geometry import PlaneClass
+from w52.geometry import PlaneClass, TaxonomyViolation
 from w52.pauli import TYPE_OF, ObservableType
 from w52.pentads import negative_counts, pentad_from_planes
 from w52.taxonomy import (
@@ -160,6 +160,11 @@ class TestCensus:
             classify_census(space, pentads[:50])
         assert isinstance(err.value.census, Census)
         assert len(err.value.census.records) < 47
+
+    def test_a_census_short_of_12096_pentads_is_a_violation(self, space, pentads):
+        # the smallest type has 53 pentads, so dropping one keeps all 47 types
+        with pytest.raises(TaxonomyViolation, match="^census holds 12095 pentads, expected 12096$"):
+            classify_census(space, pentads[1:])
 
     def test_a_pentad_without_an_id_is_named(self, space, pentads):
         # a type's example is its lowest pentad id, so every pentad needs one
