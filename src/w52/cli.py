@@ -2,13 +2,15 @@
 
 Subcommands: enumerate, census, table1, laws, verify, show.  Exit codes:
 0 on success / match, 1 on verification or comparison failure (or a
-structural violation, which signals a bug), 2 on usage or parse errors.
+structural violation, which signals a bug) and, silently, when stdout is a
+pipe whose reader has gone, 2 on usage or parse errors.
 All output is deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 
@@ -217,7 +219,12 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe breaks here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone; spare the flush at exit a second failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (OSError, PauliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

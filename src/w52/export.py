@@ -9,13 +9,13 @@ time.  The JSON document carries both contextual sets of every pentad as
 Pauli words; :func:`dump_pentads` derives both in one pass over the pentad's
 five flags (:func:`~w52.pentads._derive`), which runs the checks of both
 sets on every record, and joins the record from JSON text rendered once per
-call for every line and for every flag's affine quadruple.  The CSV table
+call for every line and for every affine quadruple met.  The CSV table
 (:func:`dump_pentad_csv`) carries no words: one row per pentad with its
 plane ids and the negative edge and context counts, summed over the
 pentad's five flags without building either set, from the packed per-flag
 table the census reads (:func:`~w52.pentads._pair_table`).  Each writer
-reads the flags afresh on every call, into a flag reader or table that
-lives only as long as the call.
+reads the flags afresh on every call, into a memo or table that lives only
+as long as the call.
 
 Files are written through :func:`atomic_open`, so a failed write leaves an
 existing regular file as it was.
@@ -30,10 +30,11 @@ import os
 import stat
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
+from functools import cache
 
 from .contextuality import ContextSet
 from .geometry import Space
-from .pentads import Pentad, _derive, _flag_reader, _pair_table
+from .pentads import Pentad, _derive, _pair_table
 from .pauli import TYPE_OF, WORDS
 
 __all__ = [
@@ -189,8 +190,8 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> 
     and a newline would, each record as soon as it is built.  A record joins
     word arrays rendered once per call: the pentad's edges and contexts come
     from one pass over its five flags (:func:`~w52.pentads._derive`), which
-    reads each flag's facts once per call and runs the pentagram's and the
-    configuration's checks on every record.
+    reads each flag's facts once per call into the call's memo and runs the
+    pentagram's and the configuration's checks on every record.
     """
     header = {
         "format": "w52-pentad-census",
@@ -205,20 +206,21 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> 
     indent = "\n" + " " * 10
     word_sep = ",\n" + " " * 12
 
-    def fragment(points: Sequence[int]) -> str:
+    @cache  # by line triple or affine edge, so each is rendered once per call
+    def fragment(points: tuple[int, ...]) -> str:
         words = word_sep.join([f'"{WORDS[p - 1]}"' for p in points])
         return f"[\n{' ' * 12}{words}{indent}]"
 
     contexts_by_line = [fragment(line.points) for line in space.lines]
-    reader = _flag_reader(space, fragment)
+    seen: dict = {}  # the flags _derive has read
     item = "," + indent
     fp.write(f"{head}[")
     sep, end = "\n    ", "]"
     count = 0
     for count, pentad in enumerate(pentads, 1):
-        edges, signs, line_ids, negative_contexts, _ = _derive(reader, pentad)
+        edges, signs, line_ids, negative_contexts = _derive(space, pentad, seen)
         planes = ",\n        ".join(map(str, pentad.planes))
-        edges = item.join(edges)
+        edges = item.join(map(fragment, edges))
         contexts = item.join([contexts_by_line[lid] for lid in line_ids])
         fp.write(
             f'{sep}{{\n      "id": {"null" if pentad.pentad_id is None else pentad.pentad_id},\n'

@@ -20,15 +20,14 @@ negative lines and its six other lines.  The four points' sign is the
 plane's sign times the line's, as the seven commuting points of the plane
 multiply to the product of those four and the line's three; the fold that
 signs each line and plane checks their points, so a flag needs no fold of
-its own.  A Fano pentad is five flags; its counts and its configuration's
-contexts are read from them.  Four tables are built on first use, so
-building a ``Space`` does not pay for them: ``Space.plane_meets`` (by
-plane, a row of the single points where it meets the others) for the
-pentad search and check; ``Space.line_tally`` and
+its own.  No two flags share an affine quadruple, as the four points of a
+Fano plane off a line span the plane.  A Fano pentad is five flags; its
+counts and its configuration's contexts are read from them.  Three tables
+are built on first use, so building a ``Space`` does not pay for them:
+``Space.plane_meets`` (by plane, a row of the single points where it meets
+the others) for the pentad search and check; and ``Space.line_tally`` and
 ``Space.plane_tally`` (the points of each line and plane, packed by
-:func:`_tally`) for the configuration check; and ``Space.flag_ranks`` (each
-flag's rank in the order of the affine quadruples), by which a pentad's
-derivation orders its flags.
+:func:`_tally`) for the configuration check.
 
 Classification failures raise :class:`TaxonomyViolation`: these facts are
 structural, so a violation signals a bug, never bad input.
@@ -40,7 +39,7 @@ import enum
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import compress, permutations
+from itertools import permutations
 
 from .pauli import (
     COMMUTE_MASK,
@@ -80,9 +79,6 @@ NEGATIVE_BIT = 256
 #: by point id, the tally of that point alone
 _POINT_TALLY = tuple(1 << 4 * p for p in range(64))
 
-# maps the hex digit "0" of a tally's fields to a false byte
-_ZERO_FIELD = bytes.maketrans(b"0", b"\0")
-
 
 def _tally(points: Iterable[int]) -> int:
     """Point counts packed four bits a point, point p at bit 4p, so tallies add
@@ -92,14 +88,6 @@ def _tally(points: Iterable[int]) -> int:
     for p in points:  # a loop adds large ints faster than sum() does
         tally += _POINT_TALLY[p]
     return tally
-
-
-def _tally_points(tally: int) -> tuple[int, ...]:
-    """The points whose field of a tally is nonzero, in increasing order;
-    inverts :func:`_tally` on distinct points.  A field is one hex digit, so
-    the lowest 64 digits, lowest first, select the points."""
-    digits = format(tally, "064x").encode().translate(_ZERO_FIELD)
-    return tuple(compress(range(64), digits[::-1]))
 
 
 def _mask_points(mask: int) -> tuple[int, ...]:
@@ -306,9 +294,10 @@ class Space:
     """The labeled polar space: points, lines, planes, flags, incidence queries.
 
     Construction enumerates everything once, except ``plane_meets``,
-    ``line_tally``, ``plane_tally`` and ``flag_ranks``, which are built on
-    first use; afterwards the object is immutable in practice and safe to
-    share.
+    ``line_tally`` and ``plane_tally``, which are built on first use;
+    afterwards the object is immutable in practice and safe to share.
+    Nothing derived from a pentad is kept here: a caller that derives many
+    pentads keeps its own memo of the flags it has read.
     """
 
     points: tuple[Observable, ...]
@@ -355,15 +344,6 @@ class Space:
                 if inter and inter.bit_count() == 1:
                     meet[i][j] = meet[j][i] = inter.bit_length() - 1
         return [bytes(row) for row in meet]
-
-    @cached_property
-    def flag_ranks(self) -> list[dict[int, int]]:
-        """By plane id, then line id, the flag's rank in 0..944 in the order
-        of the flags' affine quadruples: no two flags share one, as the four
-        points of a Fano plane off a line span the plane."""
-        by_affine = sorted(self.flags, key=lambda key: self.flags[key].affine)
-        rank = {key: i for i, key in enumerate(by_affine)}
-        return [{lid: rank[i, lid] for lid in plane.lines} for i, plane in enumerate(self.planes)]
 
     @cached_property
     def line_tally(self) -> list[int]:

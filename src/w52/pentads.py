@@ -29,20 +29,19 @@ holds all 12,096; :func:`enumerate_pentads` collects the stream in a tuple.
 Each plane of a pentad with its distinguished line is a flag of
 ``Space.flags``, which holds that plane's pentagram edge, its sign, the
 plane's other negative lines and its six other lines.  Both sets come from
-one pass over the pentad's five flags (:func:`_derive`), which takes them
-in the order of ``Space.flag_ranks``, reads each flag's edge, sign, lines
-and their summed point tallies, and runs every check of both sets once.
-:func:`pentad_to_pentagram`, :func:`pentad_to_config` and the JSON export
-all go through it with a :func:`_flag_reader` of their own, whose slots
-hold what the call has read of each flag, so the export reads each flag
-once and no call sees another's.  The derived sets are views for display,
-export and verification.  The census and the pentad CSV sum their counts
-over a pentad's five flags from the one packed per-flag table,
-:func:`_pair_table`, which each call builds for itself;
-:func:`negative_counts` sums the two negative counts from ``Space.flags``
-directly.  The tests check the census and the CSV against both sets
-derived for every pentad, so the derivations' checks still cover the whole
-census.
+one pass over the pentad's five flags (:func:`_derive`), which reads each
+flag's edge, sign, lines and their summed point tallies, orders the five by
+edge and runs every check of both sets once.  What it reads of a flag goes
+into a memo dict that the caller keeps: :func:`pentad_to_pentagram` and
+:func:`pentad_to_config` pass a new one, and the JSON export keeps one for
+the whole call, so it reads each flag once and no memo outlives its call.
+The derived sets are views for display, export and verification.  The
+census and the pentad CSV sum their counts over a pentad's five flags from
+the one packed per-flag table, :func:`_pair_table`, which each call builds
+for itself; :func:`negative_counts` sums the two negative counts from
+``Space.flags`` directly.  The tests check the census and the CSV against
+both sets derived for every pentad, so the derivations' checks still cover
+the whole census.
 
 The pentagram round trip has no context check of its own: the parity-proof
 verifier (:mod:`w52.contextuality`) checks :func:`pentagram_from_edges`, and
@@ -63,7 +62,6 @@ from .geometry import (
     _mask_of,
     _span_mask,
     _tally,
-    _tally_points,
 )
 from .contextuality import ContextSet, Verdict, WASymbol, analyze, wa_symbol
 from .pauli import TYPE_OF, Observable, ObservableType, PauliError, _is_id, parse_observable
@@ -334,38 +332,6 @@ def _check_plane_id(plane_id: object) -> int:
 # derived contextual sets
 
 
-def _flag_reader(space: Space, edge) -> tuple:
-    """What :func:`_derive` reads of the flags, as ``(slots, read)``.
-
-    ``read(plane_id, line_id)`` returns the flag's rank in
-    ``Space.flag_ranks``, and the first time the call meets the flag stores
-    ``slots[rank] = (edge(affine), sign, lines, tally, mask, plane)``: the
-    flag's affine quadruple in the form the caller lists, its sign, the six
-    other line ids, the sum of their ``Space.line_tally`` entries, their
-    315-bit line mask (bit ``line_id`` set for each, by a shift, as the
-    reader meets each flag at most once), and the plane's
-    ``Space.plane_tally``.  Each call makes its own reader, so no call sees
-    facts another read.  The slots are
-    a dict, as allocating 945 list slots would slow a single-pentad call by
-    about a quarter.
-    """
-    flags, ranks, slots = space.flags, space.flag_ranks, {}
-    line_tally, plane_tally = space.line_tally, space.plane_tally
-
-    def read(plane_id: int, line_id: int) -> int:
-        rank = ranks[plane_id][line_id]
-        if rank not in slots:
-            affine, sign, _, lines = flags[plane_id, line_id]
-            tally = mask = 0
-            for other in lines:  # a loop adds large ints faster than sum() does
-                tally += line_tally[other]
-                mask |= 1 << other
-            slots[rank] = edge(affine), sign, lines, tally, mask, plane_tally[plane_id]
-        return rank
-
-    return slots, read
-
-
 def _pair_table(space: Space) -> list[dict[int, tuple[int, int]]]:
     """Census fields of every flag (plane P, line L), as ``rows[P][L]``.
 
@@ -399,16 +365,18 @@ def _pair_table(space: Space) -> list[dict[int, tuple[int, int]]]:
     return rows
 
 
-def _derive(reader: tuple, pentad: Pentad) -> tuple:
+def _derive(space: Space, pentad: Pentad, seen: dict) -> tuple:
     """Both contextual sets of a pentad, in one pass over its five flags.
 
-    ``reader`` is a :func:`_flag_reader`, whose slots are read in the order
-    of the five flags' ranks.  Returns ``(edges, signs, line_ids,
-    negative_contexts, covered)``: the pentagram's edges, in the form the
-    reader gives, in order of their affine quadruples, and their signs; the
-    configuration's 30 context line ids, sorted, and its number of negative
-    contexts; and the :func:`~w52.geometry._tally` of the points the five
-    planes cover.
+    ``seen`` is the caller's memo of the flags read so far: the first time
+    it meets a flag, keyed as in ``Space.flags``, the pass stores ``(affine,
+    sign, lines, tally, mask, plane_tally)``: the flag's affine quadruple,
+    its sign, its six other line ids, the sum of their ``Space.line_tally``
+    entries, their 315-bit line mask (bit ``line_id`` set for each) and the
+    plane's ``Space.plane_tally``.  Returns ``(edges, signs, line_ids,
+    negative_contexts)``: the pentagram's edges, as affine quadruples in
+    sorted order, and their signs; the configuration's 30 context line ids,
+    sorted, and its number of negative contexts.
 
     Raises :class:`TaxonomyViolation` unless the number of negative edges is
     odd, the contexts are 30 distinct lines, the five planes cover 25 points,
@@ -417,9 +385,20 @@ def _derive(reader: tuple, pentad: Pentad) -> tuple:
     the negative count are summed from the tallies of the contexts' own
     lines, read with them from the flags, so they check the lines returned.
     """
-    slots, read = reader
-    order = sorted(map(read, pentad.planes, pentad.distinguished_lines))
-    f0, f1, f2, f3, f4 = map(slots.__getitem__, order)
+    facts = []
+    for key in zip(pentad.planes, pentad.distinguished_lines):
+        fact = seen.get(key)
+        if fact is None:
+            affine, sign, _, lines = space.flags[key]
+            line_tally = space.line_tally
+            tally = mask = 0
+            for other in lines:  # a loop adds large ints faster than sum() does
+                tally += line_tally[other]
+                mask |= 1 << other
+            fact = seen[key] = affine, sign, lines, tally, mask, space.plane_tally[key[0]]
+        facts.append(fact)
+    # no two flags share an affine quadruple, so the facts sort by it alone
+    f0, f1, f2, f3, f4 = sorted(facts)
     edges = f0[0], f1[0], f2[0], f3[0], f4[0]
     signs = f0[1], f1[1], f2[1], f3[1], f4[1]
     if signs.count(-1) % 2 == 0:
@@ -442,7 +421,7 @@ def _derive(reader: tuple, pentad: Pentad) -> tuple:
         )
     if negative % 2 == 0:
         raise TaxonomyViolation(f"config of pentad {pentad.planes} has even negative count")
-    return edges, signs, sorted(f0[2] + f1[2] + f2[2] + f3[2] + f4[2]), negative, covered
+    return edges, signs, sorted(f0[2] + f1[2] + f2[2] + f3[2] + f4[2]), negative
 
 
 def negative_counts(space: Space, pentad: Pentad) -> tuple[int, int]:
@@ -469,7 +448,7 @@ def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
     lexicographic order.  The pentad's configuration is derived with it, and
     all the checks of :func:`pentad_to_config` run.
     """
-    edges, signs, _, _, _ = _derive(_flag_reader(space, tuple), pentad)
+    edges, signs, _, _ = _derive(space, pentad, {})
     return Pentagram(tuple(sorted(pentad.meet_points)), edges, signs)
 
 
@@ -477,9 +456,9 @@ def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
     """The 25-observable / 30-context configuration hosted by the pentad.
 
     Contexts are the six non-distinguished lines of each plane, in line-id
-    order; observables are all plane points, the ten meet points occurring
-    in six contexts each and the fifteen distinguished-line points in two,
-    read from the tally of covered points that the checks build.
+    order; observables are the union of the five planes' points, sorted:
+    the ten meet points, which occur in six contexts each, and the fifteen
+    distinguished-line points, which occur in two.
 
     Both of the pentad's sets are derived in one pass over its five flags,
     which raises :class:`TaxonomyViolation` unless the pentagram's number of
@@ -490,9 +469,11 @@ def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
     tallies of the contexts' own line ids (``Space.line_tally``), so they
     check the lines the caller gets back.
     """
-    _, _, line_ids, _, covered = _derive(_flag_reader(space, tuple), pentad)
+    _, _, line_ids, _ = _derive(space, pentad, {})
     _, contexts, signs = zip(*itemgetter(*line_ids)(space.lines))  # the Line fields as columns
-    return ContextualConfig(_tally_points(covered), contexts, signs)
+    a, b, c, d, e = itemgetter(*pentad.planes)(space.planes)
+    observables = sorted({*a.points, *b.points, *c.points, *d.points, *e.points})
+    return ContextualConfig(tuple(observables), contexts, signs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -369,12 +371,12 @@ class TestAtomicOut:
         derive = export._derive
         seen, written = [], []
 
-        def fail_on_third(flag, pentad):
+        def fail_on_third(space, pentad, memo):
             seen.append(pentad)
             if len(seen) == 3:
                 written.append(f.tell())
                 raise TaxonomyViolation("derivation failed")
-            return derive(flag, pentad)
+            return derive(space, pentad, memo)
 
         # the stream writes the first two records, then fails deriving the third
         monkeypatch.setattr(export, "_derive", fail_on_third)
@@ -475,3 +477,39 @@ class TestShow:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: the pentad search ended before pentad 10\n"
+
+
+class TestClosedStdout:
+    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize(
+        "argv",
+        [["show", "--pentad", "3", "--as", "config"], ["census"], ["enumerate", "points"]],
+    )
+    def test_a_closed_pipe_ends_the_command_silently(self, argv, buffered):
+        # A buffered stdout first writes at the flush, an unbuffered one at
+        # once; either way the reader is gone, which is no usage error, and
+        # the interpreter's own flush at exit must not complain either.
+        env = {**os.environ, "PYTHONPATH": self.SRC}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "w52.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_device_is_still_an_error(self, capsys):
+        assert main(["census", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"

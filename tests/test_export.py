@@ -14,13 +14,11 @@ from w52 import export
 from w52.geometry import Space, TaxonomyViolation, affine_part
 from w52.pauli import WORDS
 from w52.pentads import (
-    _search,
     negative_counts,
     pentad_from_planes,
     pentad_to_config,
     pentad_to_pentagram,
 )
-from w52.taxonomy import classify_census
 
 from conftest import dense_sign
 
@@ -133,15 +131,6 @@ def test_a_flag_edited_between_two_calls_is_seen_by_the_second(pentads):
     assert edited.getvalue() == table.getvalue().replace(
         f",{before[0]},{before[1]}\n", f",{before[0] + flag.sign},{before[1]}\n"
     )
-
-
-def test_the_census_and_the_csv_build_no_flag_ranks():
-    # only the derivations order flags by rank; the packed per-flag table
-    # serves the census and the CSV without it
-    space = Space()
-    classify_census(space, _search(space))
-    export.dump_pentad_csv(io.StringIO(), space, _search(space))
-    assert "flag_ranks" not in vars(space)
 
 
 CORRUPTIONS = [
