@@ -9,13 +9,11 @@ time.  The JSON document carries both contextual sets of every pentad as
 Pauli words; :func:`dump_pentads` derives both in one pass over the pentad's
 five flags (:func:`~w52.pentads._derive`), which runs the checks of both
 sets on every record, and joins the record from JSON text rendered once per
-call for every line and for every affine quadruple met.  The CSV table
-(:func:`dump_pentad_csv`) carries no words: one row per pentad with its
-plane ids and the negative edge and context counts, summed over the
-pentad's five flags without building either set, from the packed per-flag
-table the census reads (:func:`~w52.pentads._pair_table`).  Each writer
-reads the flags afresh on every call, into a memo or table that lives only
-as long as the call.
+call for every line and for every affine quadruple met.  It reads the
+flags afresh on every call, into a memo that lives only as long as the
+call.  The CSV table (:func:`dump_pentad_csv`) carries no words: one row
+per pentad with its plane ids and its negative edge and context counts
+(:func:`~w52.pentads.negative_counts`).
 
 Files are written through :func:`atomic_open`, so a failed write leaves an
 existing regular file as it was.
@@ -34,7 +32,7 @@ from functools import cache
 
 from .contextuality import ContextSet
 from .geometry import Space
-from .pentads import Pentad, _derive, _pair_table
+from .pentads import Pentad, _derive, negative_counts
 from .pauli import TYPE_OF, WORDS
 
 __all__ = [
@@ -237,18 +235,16 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> 
 
 def dump_pentad_csv(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> int:
     """Stream the pentad CSV to ``fp``: a header, then one row per pentad with
-    its id, its plane ids and its negative edge and context counts, summed
-    over its five flags in the census's packed per-flag table, built once per
-    call.  Returns the number of rows after the header."""
+    its id, its plane ids and its negative edge and context counts
+    (:func:`~w52.pentads.negative_counts`).  Returns the number of rows after
+    the header."""
     fp.write("id,planes,negative_edges,negative_contexts\n")
-    rows = _pair_table(space)
     count = 0
     for count, pentad in enumerate(pentads, 1):
-        (a, b, c, d, e), (la, lb, lc, ld, le) = pentad.planes, pentad.distinguished_lines
-        packed = rows[a][la][0] + rows[b][lb][0] + rows[c][lc][0] + rows[d][ld][0] + rows[e][le][0]
+        a, b, c, d, e = pentad.planes
+        edges, contexts = negative_counts(space, pentad)
         pentad_id = "" if pentad.pentad_id is None else pentad.pentad_id
-        # field 8 holds the negative-edge flag, field 0 the other negative lines
-        fp.write(f"{pentad_id},{a} {b} {c} {d} {e},{packed >> 64 & 255},{packed & 255}\n")
+        fp.write(f"{pentad_id},{a} {b} {c} {d} {e},{edges},{contexts}\n")
     return count
 
 

@@ -35,13 +35,13 @@ edge and runs every check of both sets once.  What it reads of a flag goes
 into a memo dict that the caller keeps: :func:`pentad_to_pentagram` and
 :func:`pentad_to_config` pass a new one, and the JSON export keeps one for
 the whole call, so it reads each flag once and no memo outlives its call.
-The derived sets are views for display, export and verification.  The
-census and the pentad CSV sum their counts over a pentad's five flags from
-the one packed per-flag table, :func:`_pair_table`, which each call builds
-for itself; :func:`negative_counts` sums the two negative counts from
-``Space.flags`` directly.  The tests check the census and the CSV against
-both sets derived for every pentad, so the derivations' checks still cover
-the whole census.
+The derived sets are views for display, export and verification.
+:func:`negative_counts` sums a pentad's two negative counts, which the
+pentad CSV writes, from its five ``Space.flags`` entries without building
+either set; the census sums its signatures over the same five flags
+(:mod:`w52.taxonomy`).  The tests check the census and the CSV against both
+sets derived for every pentad, so the derivations' checks still cover the
+whole census.
 
 The pentagram round trip has no context check of its own: the parity-proof
 verifier (:mod:`w52.contextuality`) checks :func:`pentagram_from_edges`, and
@@ -54,17 +54,9 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .geometry import (
-    NEGATIVE_BIT,
-    PlaneClass,
-    Space,
-    TaxonomyViolation,
-    _mask_of,
-    _span_mask,
-    _tally,
-)
+from .geometry import NEGATIVE_BIT, Space, TaxonomyViolation, _span_mask, _tally
 from .contextuality import ContextSet, Verdict, WASymbol, analyze, wa_symbol
-from .pauli import TYPE_OF, Observable, ObservableType, PauliError, _is_id, parse_observable
+from .pauli import Observable, PauliError, _is_id, parse_observable
 
 __all__ = [
     "Pentad",
@@ -330,39 +322,6 @@ def _check_plane_id(plane_id: object) -> int:
 
 # ---------------------------------------------------------------------------
 # derived contextual sets
-
-
-def _pair_table(space: Space) -> list[dict[int, tuple[int, int]]]:
-    """Census fields of every flag (plane P, line L), as ``rows[P][L]``.
-
-    Each entry is a pair.  The first is packed 8 bits a field: the negative
-    contexts; 2|P∩T| - |(P∖L)∩T| for T = A, B, C, whose sums are twice the
-    configuration's type counts, as each meet point lies in two planes'
-    affine parts; the plane-class one-hots; the negative-edge flag;
-    |(P∖L)∩T|, whose sums are twice the pentagram's.  The second is the mask
-    of (P∖L)∩A on negative edges, else 0.  This is the one packed per-flag
-    table: the census (:func:`~w52.taxonomy.classify_census`) sums every
-    field, and the pentad CSV fields 0 and 8.  Each call builds its own.
-    """
-    by_type = [_mask_of(p for p, t in enumerate(TYPE_OF) if t is k) for k in ObservableType]
-    rows: list[dict[int, tuple[int, int]]] = []
-    for plane_id, plane in enumerate(space.planes):
-        plane_mask = space.plane_masks[plane_id]
-        plane_types = [(plane_mask & t).bit_count() for t in by_type]
-        class_flags = [plane.plane_class is c for c in PlaneClass]
-        row = {}
-        for line_id in plane.lines:
-            flag = space.flags[plane_id, line_id]
-            shared = _mask_of(flag.affine)
-            negative = flag.sign < 0
-            shared_types = [(shared & t).bit_count() for t in by_type]
-            fields = [flag.negative_lines]
-            fields += [2 * n - m for n, m in zip(plane_types, shared_types)]
-            fields += [*class_flags, negative, *shared_types]
-            packed = sum(int(f) << (8 * k) for k, f in enumerate(fields))
-            row[line_id] = packed, shared & by_type[0] if negative else 0
-        rows.append(row)
-    return rows
 
 
 def _derive(space: Space, pentad: Pentad, seen: dict) -> tuple:

@@ -6,12 +6,12 @@ partition of its five planes, plus the signature of the pentagram living
 in the same pentad (negative edges, A/B/C distribution of the ten
 pentagram observables, and how many of its type-A observables touch a
 negative edge).  The census reads signatures without deriving either
-contextual set: the one packed per-flag table,
-:func:`w52.pentads._pair_table`, holds what each flag of ``Space.flags`` (a
-plane with one line singled out) adds to a signature as one integer; the
-census sums these over each pentad's five (plane, distinguished line)
-flags, groups the pentads by that sum, and unpacks one signature per group:
-exactly 47 types in eight families keyed by negative-context count.
+contextual set: this module's packed per-flag table (:func:`_pair_table`)
+holds what each flag of ``Space.flags`` (a plane with one line singled out)
+adds to a signature as one integer; the census sums these over each
+pentad's five (plane, distinguished line) flags, groups the pentads by that
+sum, and unpacks one signature per group: exactly 47 types in eight
+families keyed by negative-context count.
 
 Census ordinals are assigned by a canonical sort of the signatures and are
 not claimed to match the reference table's numbering; agreement with the
@@ -24,9 +24,9 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable
 
-from .geometry import Space, TaxonomyViolation
-from .pauli import _checked_record
-from .pentads import Pentad, _pair_table
+from .geometry import PlaneClass, Space, TaxonomyViolation, _mask_of
+from .pauli import TYPE_OF, ObservableType, _checked_record
+from .pentads import Pentad
 
 __all__ = [
     "PentagramSignature",
@@ -138,13 +138,45 @@ class TypeCountMismatch(RuntimeError):
         self.census = census
 
 
+def _pair_table(space: Space) -> list[dict[int, tuple[int, int]]]:
+    """Census fields of every flag (plane P, line L), as ``rows[P][L]``.
+
+    Each entry is a pair.  The first is packed 8 bits a field: the negative
+    contexts; 2|P∩T| - |(P∖L)∩T| for T = A, B, C, whose sums are twice the
+    configuration's type counts, as each meet point lies in two planes'
+    affine parts; the plane-class one-hots; the negative-edge flag;
+    |(P∖L)∩T|, whose sums are twice the pentagram's.  The second is the mask
+    of (P∖L)∩A on negative edges, else 0.  Only :func:`classify_census`
+    reads the table, and each of its calls builds its own.
+    """
+    by_type = [_mask_of(p for p, t in enumerate(TYPE_OF) if t is k) for k in ObservableType]
+    rows: list[dict[int, tuple[int, int]]] = []
+    for plane_id, plane in enumerate(space.planes):
+        plane_mask = space.plane_masks[plane_id]
+        plane_types = [(plane_mask & t).bit_count() for t in by_type]
+        class_flags = [plane.plane_class is c for c in PlaneClass]
+        row = {}
+        for line_id in plane.lines:
+            flag = space.flags[plane_id, line_id]
+            shared = _mask_of(flag.affine)
+            negative = flag.sign < 0
+            shared_types = [(shared & t).bit_count() for t in by_type]
+            fields = [flag.negative_lines]
+            fields += [2 * n - m for n, m in zip(plane_types, shared_types)]
+            fields += [*class_flags, negative, *shared_types]
+            packed = sum(int(f) << (8 * k) for k, f in enumerate(fields))
+            row[line_id] = packed, shared & by_type[0] if negative else 0
+        rows.append(row)
+    return rows
+
+
 def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
     """Group all pentads by full signature and assign canonical ordinals.
 
     A group's key is the sum of its pentads' entries in the per-flag table
-    (:func:`~w52.pentads._pair_table`) and the count of their type-A meet
-    points on negative edges, its signature is unpacked from that key, and
-    its example is its lowest pentad id.  Raises
+    (:func:`_pair_table`, built once per call) and the count of their
+    type-A meet points on negative edges, its signature is unpacked from
+    that key, and its example is its lowest pentad id.  Raises
     ValueError naming the first pentad that has no id,
     :class:`TypeCountMismatch` (with the census attached) if the number of
     distinct signatures is not 47, and then :class:`TaxonomyViolation` if the

@@ -261,9 +261,12 @@ def test_dump_pentad_csv_matches_csv_module(space, pentads):
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["id", "planes", "negative_edges", "negative_contexts"])
+    # the counts come from the derived sets, not from negative_counts, which
+    # the writer itself calls
     for pentad in chosen:
         writer.writerow([pentad.pentad_id, " ".join(map(str, pentad.planes)),
-                         *negative_counts(space, pentad)])
+                         pentad_to_pentagram(space, pentad).negative_edges,
+                         pentad_to_config(space, pentad).negative_contexts])
     assert buf.getvalue() == expected.getvalue()
 
 

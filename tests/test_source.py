@@ -155,10 +155,13 @@ def test_json_export_streams_the_pentads(tmp_path):
 
 
 def names_in(path):
-    """Every imported name, variable name and attribute name in a source file."""
+    """Every imported name, defined function or class name, variable name and
+    attribute name in a source file."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             yield from (alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
         elif isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -172,3 +175,10 @@ def test_contexts_are_multiplied_only_in_pauli():
     assert readers == ["pauli.py"]
     contextuality = SRC / "w52" / "contextuality.py"
     assert {"PHASE", "COMMUTE_MASK"}.isdisjoint(names_in(contextuality))
+
+
+def test_only_taxonomy_knows_the_packed_census_table():
+    # the census's packed per-flag fields are one module's format, so no
+    # other module builds the table or reads a field of it by shift
+    readers = [path.name for path in SOURCES if "_pair_table" in names_in(path)]
+    assert readers == ["taxonomy.py"]
