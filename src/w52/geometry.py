@@ -30,7 +30,12 @@ the others) for the pentad search and check; and ``Space.line_tally`` and
 :func:`_tally`) for the configuration check.
 
 Classification failures raise :class:`TaxonomyViolation`: these facts are
-structural, so a violation signals a bug, never bad input.
+structural, so a violation signals a bug or a corrupted table, never bad
+input.  What no argument can change has no runtime check, as it could never
+fire: the counts 63/315/135 and the three type-B points of every plane follow
+from the constant ``COMMUTE_MASK`` and ``TYPE_OF``, and tier-1 pins them
+(``test_geometry.py::TestCounts`` and ``TestPlanes::test_b_points_collinear``,
+``test_acceptance.py`` criteria 1 and 3).
 """
 
 from __future__ import annotations
@@ -174,17 +179,17 @@ def _sign_of_points(points: Sequence[int]) -> int:
 
 
 def enumerate_lines() -> tuple[Line, ...]:
-    """All 315 isotropic lines, sorted by point triple; ids are the ranks."""
+    """All 315 isotropic lines, sorted by point triple; ids are the ranks.
+
+    The lines depend on the constant ``COMMUTE_MASK`` alone, so their count
+    has no runtime check: ``test_geometry.py::TestCounts::test_315_lines``
+    and ``test_acceptance.py::test_criterion_1_space_structure`` pin it.
+    """
     triples = set()
     for a in range(1, 64):
         for b in _mask_points(COMMUTE_MASK[a] >> (a + 1) << (a + 1)):
             triples.add(tuple(sorted((a, b, a ^ b))))
-    lines = tuple(
-        Line(i, pts, _sign_of_points(pts)) for i, pts in enumerate(sorted(triples))
-    )
-    if len(lines) != 315:
-        raise TaxonomyViolation(f"expected 315 lines, found {len(lines)}")
-    return lines
+    return tuple(Line(i, pts, _sign_of_points(pts)) for i, pts in enumerate(sorted(triples)))
 
 
 def enumerate_planes(lines: Sequence[Line], pair_lines: Sequence[Sequence]) -> tuple[Plane, ...]:
@@ -194,6 +199,12 @@ def enumerate_planes(lines: Sequence[Line], pair_lines: Sequence[Sequence]) -> t
     and not yet in a plane through the line, closed under XOR, until no such
     point is left; the three planes through each line collapse by point set.
     A plane's lines are read off ``Space.pair_lines`` by its point pairs.
+
+    The planes are spans of the constant ``COMMUTE_MASK``, so their count
+    has no runtime check: ``test_geometry.py::TestCounts::test_135_planes``
+    and ``test_acceptance.py::test_criterion_1_space_structure`` pin it.
+    Each plane's class is checked (:func:`_classify`), so a line list with a
+    wrong sign raises :class:`TaxonomyViolation`.
     """
     seen: set[int] = set()
     for line in lines:
@@ -214,15 +225,19 @@ def enumerate_planes(lines: Sequence[Line], pair_lines: Sequence[Sequence]) -> t
         b_line = _b_line_of(pts, pair_lines)
         plane_class = _classify(pts, line_ids, sign, b_line, lines)
         planes.append(Plane(plane_id, pts, line_ids, sign, b_line, plane_class))
-    if len(planes) != 135:
-        raise TaxonomyViolation(f"expected 135 planes, found {len(planes)}")
     return tuple(planes)
 
 
 def _b_line_of(points: Sequence[int], pair_lines: Sequence[Sequence]) -> int:
+    """The line of a plane's three type-B points, read from ``pair_lines``.
+
+    Every plane holds three type-B points, a fact of the constant space that
+    ``test_geometry.py::TestPlanes::test_b_points_collinear`` and
+    ``test_acceptance.py::test_criterion_3_plane_taxonomy`` pin; any other
+    count fails the unpacking into three.  Raises :class:`TaxonomyViolation`
+    unless the three lie on a line of ``pair_lines``.
+    """
     b_points = [p for p in points if TYPE_OF[p] is ObservableType.B]
-    if len(b_points) != 3:
-        raise TaxonomyViolation(f"plane {points} has {len(b_points)} type-B points, not 3")
     p, q, r = b_points
     line_id = pair_lines[p][q]
     if line_id is None or p ^ q != r:

@@ -198,6 +198,14 @@ class TestVerify:
         assert err.startswith(f"error: {f} is not valid JSON")
         assert "Traceback" not in err
 
+    def test_truncated_file_is_a_parse_error(self, capsys, tmp_path):
+        f = tmp_path / "open.json"
+        f.write_text("{", encoding="utf-8")
+        assert main(["verify", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f} is not valid JSON: Expecting property name")
+        assert "Traceback" not in err
+
     def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
         f = tmp_path / "latin.json"
         f.write_bytes(b"\xff\xfe{")
@@ -361,6 +369,21 @@ class TestAtomicOut:
         out.mkdir()
         assert main(["enumerate", "planes", "--out", str(out)]) == 2
         assert f"Is a directory: '{out}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_failed_replace_names_target_and_keeps_existing_file(self, monkeypatch, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_text("old\n", encoding="utf-8")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", src)
+
+        monkeypatch.setattr(export.os, "replace", refuse)
+        with pytest.raises(PermissionError) as raised:
+            with export.atomic_open(out) as f:
+                f.write("new\n")
+        assert raised.value.filename == str(out)
+        assert out.read_text(encoding="utf-8") == "old\n"
         assert list(tmp_path.iterdir()) == [out]
 
     def test_failed_json_stream_keeps_existing_file(self, monkeypatch, tmp_path, space, pentads):

@@ -93,6 +93,11 @@ class TestContextSet:
         with pytest.raises(ValueError):
             ContextSet.from_json_obj({"contexts": "XXI YYI ZZI"})
 
+    def test_from_json_obj_rejects_a_row_that_is_an_object(self):
+        # from_words would iterate the object's keys and take them as a context
+        with pytest.raises(ValueError, match="must be a list of lists of Pauli words"):
+            ContextSet.from_json_obj({"contexts": [{"XXI": 0, "YYI": 0, "ZZI": 0}]})
+
 
 class TestAnalyze:
     def test_canonical_pentagram_is_a_valid_proof(self):

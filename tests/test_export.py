@@ -11,7 +11,7 @@ import re
 import pytest
 
 from w52 import export
-from w52.geometry import Space, TaxonomyViolation, affine_part
+from w52.geometry import NEGATIVE_BIT, Space, TaxonomyViolation, affine_part
 from w52.pauli import WORDS
 from w52.pentads import (
     negative_counts,
@@ -138,14 +138,16 @@ CORRUPTIONS = [
     "flag line -> a line off the plane",
     "flag line -> another of its lines",
     "line tally",
+    "line sign",
     "plane tally",
 ]
 
 
 def corrupt(space, pentads, configs, kind):
     """Corrupt one table entry read by pentad 4321's first flag: its six
-    lines in ``space.flags``, or the tally of its first line or of its plane;
-    return the ids of every pentad that reads that entry."""
+    lines in ``space.flags``, the tally or the negative bit of its first
+    line, or the tally of its plane; return the ids of every pentad that
+    reads that entry."""
     sample = pentads[4321]
     plane_id, line_id = sample.planes[0], sample.distinguished_lines[0]
     flag = space.flags[plane_id, line_id]
@@ -161,8 +163,11 @@ def corrupt(space, pentads, configs, kind):
         space.flags[plane_id, line_id] = flag._replace(lines=(replacement,) + six[1:])
         key = plane_id, line_id
         return {p.pentad_id for p in pentads if key in zip(p.planes, p.distinguished_lines)}
-    if kind == "line tally":
-        space.line_tally[six[0]] += 1 << 4 * point
+    if kind.startswith("line"):
+        if kind == "line tally":
+            space.line_tally[six[0]] += 1 << 4 * point
+        else:  # the point counts stay right, and only the line's sign is wrong
+            space.line_tally[six[0]] ^= 1 << NEGATIVE_BIT
         line = space.lines[six[0]].points
         return {p.pentad_id for p, c in zip(pentads, configs) if line in c.contexts}
     space.plane_tally[plane_id] += 1 << 4 * point

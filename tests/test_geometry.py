@@ -290,6 +290,39 @@ class TestPlaneClasses:
                 else:
                     assert n in (1, 3)
 
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            (PlaneClass.NEGATIVE, "negative plane .* lacks exactly 3 concurrent negative lines"),
+            (PlaneClass.POS_A, "positive plane .* has [35] negative lines, expected 0 or 4"),
+            (PlaneClass.POS_B, "positive plane .* has 1 negative lines, expected 0 or 4"),
+        ],
+    )
+    def test_a_line_with_the_wrong_sign_fails_its_first_plane(self, space, first, message):
+        # a flipped line changes its three planes' negative lines by one; the
+        # lowest of them is classified first and must refuse it
+        line = next(
+            line for line in space.lines
+            if space.planes[space.planes_on_line(line.line_id)[0]].plane_class is first
+        )
+        lines = list(space.lines)
+        lines[line.line_id] = line._replace(sign=-line.sign)
+        with pytest.raises(TaxonomyViolation, match=message):
+            enumerate_planes(lines, space.pair_lines)
+
+    def test_forged_planes_are_refused(self, space):
+        class_a = next(p for p in space.planes if p.plane_class is PlaneClass.POS_A)
+        negative = next(p for p in space.planes if p.plane_class is PlaneClass.NEGATIVE)
+        with pytest.raises(TaxonomyViolation, match="has affine types 1A/3C, expected 0A/4C"):
+            classify_plane(space, class_a._replace(sign=-1))
+        with pytest.raises(TaxonomyViolation, match="has affine types 0A/4C, outside the taxonomy"):
+            classify_plane(space, negative._replace(sign=1))
+        # four negative lines, three of them the negative plane's concurrent ones
+        concurrent = [lid for lid in negative.lines if space.lines[lid].sign < 0]
+        fourth = next(lid for lid in class_a.lines if space.lines[lid].sign < 0)
+        with pytest.raises(TaxonomyViolation, match="three of its negative lines are concurrent"):
+            classify_plane(space, class_a._replace(lines=(*concurrent, fourth)))
+
 
 class TestIncidence:
     def test_line_in_plane_consistency(self, space):
@@ -328,6 +361,16 @@ class TestIncidence:
             space.planes_on_line(315)
         with pytest.raises(UnknownId):
             space.line_id_of([1, 2, 4])  # not a line: 1^2=3 not 4
+        with pytest.raises(UnknownId, match=r"no plane with point set \[1, 2, 3\]"):
+            space.plane_id_of([3, 2, 1])
+
+    def test_plane_spanned_by_needs_independent_commuting_generators(self, space):
+        # a dependent triple is a ValueError, and not an UnknownId (a KeyError)
+        with pytest.raises(ValueError, match="generators are not independent"):
+            space.plane_spanned_by(O("XII"), O("IXI"), O("XXI"))
+        # XII and ZII anticommute, so their span is not a plane
+        with pytest.raises(UnknownId, match="no plane with point set"):
+            space.plane_spanned_by(O("XII"), O("ZII"), O("IXI"))
 
     @pytest.mark.parametrize("bad", [True, -1, 64, 1.0, "XII"])
     def test_bad_point_ids_are_unknown(self, space, bad):

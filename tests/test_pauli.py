@@ -31,6 +31,7 @@ from w52.pauli import (
     multiply,
     observable_type,
     parse_observable,
+    sign_from_phase,
     symplectic_form,
 )
 
@@ -278,6 +279,13 @@ class TestContextSign:
     def test_too_short(self):
         with pytest.raises(PauliError):
             context_sign([O("XII")])
+        # the empty product is the identity, so only the length check refuses it
+        with pytest.raises(PauliError, match="at least two observables"):
+            context_sign([])
+
+    def test_an_odd_phase_is_no_sign(self):
+        with pytest.raises(ValueError, match="phase exponent 1 does not describe a sign"):
+            sign_from_phase(1)
 
     @pytest.mark.parametrize(
         "words", [("XII", "IXI", "XXI"), ("XXI", "YYI", "ZZI"), ("XYY", "YXY", "YYX", "XXX")]

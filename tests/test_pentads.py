@@ -446,6 +446,14 @@ class TestPentagramValidation:
         with pytest.raises((NotAPentagram, ClosureNotIsotropicPlane)):
             pentagram_to_pentad(space, tampered)
 
+    def test_edges_closing_into_planes_that_are_no_pentad(self, space):
+        # each edge is four points of one plane off a line, so it closes into
+        # that plane; planes 0-4 are five planes but not a pentad
+        edges = tuple(space.flags[p, space.planes[p].lines[0]].affine for p in range(5))
+        tampered = Pentagram(tuple(range(1, 11)), edges, (-1, 1, 1, 1, 1))
+        with pytest.raises(NotAPentagram, match=r"closures \[0, 1, 2, 3, 4\] do not form"):
+            pentagram_to_pentad(space, tampered)
+
     @pytest.mark.parametrize(
         "changes",
         [
