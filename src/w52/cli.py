@@ -36,6 +36,9 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.coords and args.object != "points":
+        print("error: --coords applies to points only", file=sys.stderr)
+        return EXIT_USAGE
     space = Space()
     if args.object == "points":
         rows = export.points_table(space, coords=args.coords)

@@ -195,10 +195,12 @@ def enumerate_lines() -> tuple[Line, ...]:
 def enumerate_planes(lines: Sequence[Line], pair_lines: Sequence[Sequence]) -> tuple[Plane, ...]:
     """All 135 Fano planes, sorted by point tuple; ids are the ranks.
 
-    Each line is extended by the lowest point commuting with both generators
-    and not yet in a plane through the line, closed under XOR, until no such
-    point is left; the three planes through each line collapse by point set.
-    A plane's lines are read off ``Space.pair_lines`` by its point pairs.
+    ``lines`` must be all 315 lines, as :func:`enumerate_lines` returns
+    them; any other count raises :class:`ValueError`.  Each line is
+    extended by the lowest point commuting with both generators and not yet
+    in a plane through the line, closed under XOR, until no such point is
+    left; the three planes through each line collapse by point set.  A
+    plane's lines are read off ``Space.pair_lines`` by its point pairs.
 
     The planes are spans of the constant ``COMMUTE_MASK``, so their count
     has no runtime check: ``test_geometry.py::TestCounts::test_135_planes``
@@ -206,6 +208,8 @@ def enumerate_planes(lines: Sequence[Line], pair_lines: Sequence[Sequence]) -> t
     Each plane's class is checked (:func:`_classify`), so a line list with a
     wrong sign raises :class:`TaxonomyViolation`.
     """
+    if len(lines) != 315:
+        raise ValueError(f"enumerate_planes takes all 315 lines, got {len(lines)}")
     seen: set[int] = set()
     for line in lines:
         a, b, _ = line.points

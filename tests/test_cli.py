@@ -72,9 +72,21 @@ CANONICAL_EDGES = [
 ]
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def write_contexts(path, contexts):
     path.write_text(json.dumps({"contexts": contexts}), encoding="utf-8")
     return path
+
+
+def verify_rows(name, space, pentads):
+    """The contexts of a ``VERIFY_SHA256`` input, as Pauli words: the
+    canonical pentagram, or pentad 4321's configuration."""
+    if name == "pentagram":
+        return CANONICAL_EDGES
+    config = pentads_module.pentad_to_config(space, pentads[4321])
+    return [[OBSERVABLES[p - 1].word for p in ctx] for ctx in config.contexts]
 
 
 @pytest.mark.parametrize("command", list(OUTPUT_SHA256))
@@ -88,6 +100,62 @@ def test_output_matches_reference_bytes(capsys, tmp_path, command):
         assert main(argv) == 0
         data = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[command]
+
+
+# Modules no command may load: numpy is a test dependency only, and the
+# others cost start-up time.  site imports pathlib and typing on some
+# installs; -S keeps it out, so only the package could load them.
+UNLOADED_MODULES = ("numpy", "dataclasses", "inspect", "pathlib", "typing")
+
+FLAGGED_CHILD = """\
+import sys
+from contextlib import redirect_stdout
+from w52.cli import main
+
+codes = []
+for argv, stdout in {jobs!r}:
+    with open(stdout, "w", encoding="utf-8") as f, redirect_stdout(f):
+        codes.append(main(argv))
+print(codes)
+print([m for m in {modules!r} if m in sys.modules])
+"""
+
+
+def test_pinned_outputs_under_python_O_S_W_error(tmp_path, space, pentads):
+    # One child runs every pinned command.  -O strips assert, so no check may
+    # rest on one; -S keeps site-packages, and numpy with it, off the path, so
+    # the package needs nothing outside the standard library; -W error makes
+    # any warning fail its command.  A set that is not closed must exit 1.
+    pins = {**OUTPUT_SHA256, "census --out": CENSUS_SHA256}
+    pins.update({f"enumerate pentads --format {fmt} --out": pin
+                 for fmt, pin in EXPORT_SHA256.items()})
+    for (name, fmt), pin in VERIFY_SHA256.items():
+        write_contexts(tmp_path / f"{name}.json", verify_rows(name, space, pentads))
+        pins[f"verify {name}.json --format {fmt}"] = pin
+    assert len(pins) == 19
+    write_contexts(tmp_path / "open.json", [["XII", "IXI", "IIX"]])
+    jobs, outputs = [], {}
+    for i, command in enumerate([*pins, "verify open.json"]):
+        argv, output = command.split(), f"{i}.stdout"
+        if argv[-1] == "--out":
+            output = f"{i}.out"
+            argv.append(output)
+        jobs.append((argv, f"{i}.stdout"))
+        outputs[command] = output
+    result = subprocess.run(
+        [sys.executable, "-O", "-S", "-W", "error", "-c",
+         FLAGGED_CHILD.format(jobs=jobs, modules=UNLOADED_MODULES)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [str([0] * len(pins) + [1]), "[]"]
+    digests = {command: hashlib.sha256((tmp_path / outputs[command]).read_bytes()).hexdigest()
+               for command in pins}
+    assert digests == pins
 
 
 class TestEnumerate:
@@ -114,6 +182,21 @@ class TestEnumerate:
         rows = json.loads(out.read_text(encoding="utf-8"))
         assert len(rows) == 63
         assert rows[29] == {"id": 30, "word": "XYZ", "type": "C", "coords": "011110"}
+
+    @pytest.mark.parametrize("obj", ["lines", "planes", "pentads"])
+    def test_coords_off_points_is_usage_error(self, capsys, monkeypatch, tmp_path, obj):
+        # only points have coordinates to show; the flag is refused before
+        # the space is built, not ignored
+        def refuse(*args):
+            pytest.fail("--coords off points built the space")
+
+        monkeypatch.setattr("w52.cli.Space", refuse)
+        out = tmp_path / "table.csv"
+        assert main(["enumerate", obj, "--coords", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --coords applies to points only\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_pentads_prints_12096(self, capsys):
         assert main(["enumerate", "pentads"]) == 0
@@ -162,12 +245,7 @@ class TestVerify:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("name", ["pentagram", "config"])
     def test_output_matches_reference_bytes(self, capsys, tmp_path, space, pentads, name, fmt):
-        if name == "pentagram":
-            rows = CANONICAL_EDGES
-        else:
-            config = pentads_module.pentad_to_config(space, pentads[4321])
-            rows = [[OBSERVABLES[p - 1].word for p in ctx] for ctx in config.contexts]
-        f = write_contexts(tmp_path / f"{name}.json", rows)
+        f = write_contexts(tmp_path / f"{name}.json", verify_rows(name, space, pentads))
         assert main(["verify", str(f), "--format", fmt]) == 0
         data = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(data).hexdigest() == VERIFY_SHA256[name, fmt]
@@ -503,8 +581,6 @@ class TestShow:
 
 
 class TestClosedStdout:
-    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
     @pytest.mark.parametrize("buffered", [True, False])
     @pytest.mark.parametrize(
         "argv",
@@ -514,7 +590,7 @@ class TestClosedStdout:
         # A buffered stdout first writes at the flush, an unbuffered one at
         # once; either way the reader is gone, which is no usage error, and
         # the interpreter's own flush at exit must not complain either.
-        env = {**os.environ, "PYTHONPATH": self.SRC}
+        env = {**os.environ, "PYTHONPATH": SRC}
         env.pop("PYTHONUNBUFFERED", None)
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"

@@ -133,6 +133,12 @@ class TestPlanes:
         with pytest.raises(TaxonomyViolation, match="does not contain exactly 7 lines"):
             enumerate_planes(space.lines, table)
 
+    @pytest.mark.parametrize("count", [314, 0])
+    def test_a_partial_line_list_is_refused(self, space, count):
+        # 314 lines would end in an IndexError and none in no planes at all
+        with pytest.raises(ValueError, match=f"takes all 315 lines, got {count}$"):
+            enumerate_planes(space.lines[:count], space.pair_lines)
+
     def test_b_points_off_a_line_are_a_violation(self, space):
         # the B line is read from the pair table by the first two B points;
         # no line through them, or a third B point off it, must not pass
