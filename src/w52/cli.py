@@ -3,7 +3,8 @@
 Subcommands: enumerate, census, table1, laws, verify, show.  Exit codes:
 0 on success / match, 1 on verification or comparison failure (or a
 structural violation, which signals a bug) and, silently, when stdout is a
-pipe whose reader has gone, 2 on usage or parse errors.
+pipe whose reader has gone, 2 on usage or parse errors.  A command returns
+its verdict's code and raises every error; only :func:`main` writes stderr.
 All output is deterministic for fixed inputs and flags.
 """
 
@@ -27,6 +28,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+class UsageError(Exception):
+    """A request a command refuses before it does any work, such as an unknown id."""
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         with export.atomic_open(out) as f:
@@ -37,8 +42,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.coords and args.object != "points":
-        print("error: --coords applies to points only", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--coords applies to points only")
     space = Space()
     if args.object == "points":
         rows = export.points_table(space, coords=args.coords)
@@ -91,11 +95,7 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        context_set = export.load_context_file(args.file)
-    except (OSError, ValueError) as exc:  # PauliError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    context_set = export.load_context_file(args.file)
     report = analyze(context_set)
     symbol = wa_symbol(context_set)
     if args.format == "json":
@@ -131,8 +131,7 @@ def _render_word(point_id: int, coords: bool) -> str:
 
 def _cmd_show(args: argparse.Namespace) -> int:
     if not 0 <= args.pentad < _PENTAD_COUNT:
-        print(f"error: unknown pentad id {args.pentad}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown pentad id {args.pentad}")
     space = Space()
     pentad = next(islice(_search(space), args.pentad, None), None)
     if pentad is None:
@@ -228,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader is gone; spare the flush at exit a second failure
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
-    except (OSError, PauliError) as exc:
+    except (OSError, PauliError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TaxonomyViolation as exc:

@@ -98,10 +98,10 @@ class ContextSet(_checked_record("ContextSet", "contexts")):
     def from_json_obj(cls, obj: object) -> "ContextSet":
         """Parse the context-file schema {"contexts": [[word, ...], ...]}."""
         if not isinstance(obj, dict) or "contexts" not in obj:
-            raise ValueError('context file must be an object with a "contexts" key')
+            raise PauliError('context file must be an object with a "contexts" key')
         rows = obj["contexts"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ValueError('"contexts" must be a list of lists of Pauli words')
+            raise PauliError('"contexts" must be a list of lists of Pauli words')
         return cls.from_words(rows)
 
     def to_json_obj(self) -> dict:

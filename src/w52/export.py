@@ -2,7 +2,7 @@
 
 All output is byte-deterministic: rows follow canonical ids, JSON keys are
 emitted in a fixed order, and every file ends with a newline.  Every CSV
-table, the census summary included, goes through :func:`render_csv`.
+table except the streamed pentad CSV goes through :func:`render_csv`.
 
 The pentad census has two export forms, both streamed one pentad at a
 time.  The JSON document carries both contextual sets of every pentad as
@@ -33,7 +33,7 @@ from functools import cache
 from .contextuality import ContextSet
 from .geometry import Space
 from .pentads import Pentad, _derive, negative_counts
-from .pauli import TYPE_OF, WORDS
+from .pauli import TYPE_OF, WORDS, PauliError
 
 __all__ = [
     "points_table",
@@ -249,14 +249,15 @@ def dump_pentad_csv(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) 
 
 
 def load_context_file(path: str | os.PathLike[str]) -> ContextSet:
-    """Read a context file: {"contexts": [["XXI", "YYI", "ZZI"], ...]}."""
-    try:
-        with open(path, encoding="utf-8") as f:
+    """Read a context file: {"contexts": [["XXI", "YYI", "ZZI"], ...]}; OSError if
+    it cannot be opened or read, PauliError for any fault in what it holds."""
+    with open(path, encoding="utf-8") as f:
+        try:
             obj = json.load(f)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path} is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise ValueError(f"{path} is not valid JSON: nested too deeply") from None
+        except UnicodeDecodeError as exc:
+            raise PauliError(f"{path} is not valid UTF-8: {exc}") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
+            raise PauliError(f"{path} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise PauliError(f"{path} is not valid JSON: nested too deeply") from None
     return ContextSet.from_json_obj(obj)

@@ -49,7 +49,7 @@ __all__ = [
 
 
 class PauliError(ValueError):
-    """Base class for malformed Pauli input."""
+    """Base class for malformed Pauli input, a malformed context file included."""
 
 
 class BadLength(PauliError):

@@ -7,12 +7,27 @@ shares no code with the phase-arithmetic engine, so it serves as the
 independent cross-check for every sign computed by the package.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from w52.geometry import Space
 from w52.pentads import enumerate_pentads, pentad_to_config, pentad_to_pentagram
 from w52.taxonomy import classify_census
+
+#: The package source directory, for child processes' PYTHONPATH.
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the worked-example pentagram on a GHZ-style observable set; the last edge
+# is the negative one
+CANONICAL_EDGES = [
+    ["XII", "IYI", "IIY", "XYY"],
+    ["YII", "IXI", "IIY", "YXY"],
+    ["YII", "IYI", "IIX", "YYX"],
+    ["XII", "IXI", "IIX", "XXX"],
+    ["XYY", "YXY", "YYX", "XXX"],
+]
 
 IDENTITY8 = np.eye(8, dtype=complex)
 

@@ -19,6 +19,8 @@ from w52.geometry import TaxonomyViolation
 from w52.pauli import OBSERVABLES
 from w52.taxonomy import TypeCountMismatch, classify_census
 
+from conftest import CANONICAL_EDGES, SRC
+
 # SHA-256 of the reference `enumerate pentads --format json|csv --out` files
 EXPORT_SHA256 = {
     "json": "939bef33ecdef0a12c84955c1ea4f4f7a05dd81899ae6fdcf40214dd2fb4022f",
@@ -62,17 +64,6 @@ VERIFY_SHA256 = {
     ("config", "text"): "cc0cf1d4c7710cdef88ddb4bb1ba94b4fafe5901f93740060c1e43ca62210ab5",
     ("config", "json"): "a9dee788d8163d923bc7d9c9c6bce1a5f325cd6d2bd76e2714d5ab8c244877ae",
 }
-
-CANONICAL_EDGES = [
-    ["XII", "IYI", "IIY", "XYY"],
-    ["YII", "IXI", "IIY", "YXY"],
-    ["YII", "IYI", "IIX", "YYX"],
-    ["XII", "IXI", "IIX", "XXX"],
-    ["XYY", "YXY", "YYX", "XXX"],
-]
-
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_contexts(path, contexts):
@@ -146,7 +137,7 @@ def test_pinned_outputs_under_python_O_S_W_error(tmp_path, space, pentads):
         [sys.executable, "-O", "-S", "-W", "error", "-c",
          FLAGGED_CHILD.format(jobs=jobs, modules=UNLOADED_MODULES)],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": SRC},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=120,
@@ -282,6 +273,18 @@ class TestVerify:
         assert main(["verify", str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {f} is not valid JSON: Expecting property name")
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="needs the integer digit limit of Python 3.10.7+")
+    def test_oversized_number_is_a_parse_error(self, capsys, tmp_path):
+        # json.load reports an integer past the digit limit with a plain
+        # ValueError, not a JSONDecodeError
+        f = tmp_path / "big.json"
+        f.write_text('{"contexts": [[' + "1" * 5000 + "]]}", encoding="utf-8")
+        assert main(["verify", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f} is not valid JSON: Exceeds the limit")
         assert "Traceback" not in err
 
     def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
@@ -590,7 +593,7 @@ class TestClosedStdout:
         # A buffered stdout first writes at the flush, an unbuffered one at
         # once; either way the reader is gone, which is no usage error, and
         # the interpreter's own flush at exit must not complain either.
-        env = {**os.environ, "PYTHONPATH": SRC}
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
         env.pop("PYTHONUNBUFFERED", None)
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"

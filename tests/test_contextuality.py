@@ -13,15 +13,7 @@ from w52.contextuality import ContextSet, Verdict, analyze, wa_symbol
 from w52.pauli import OBSERVABLES, DuplicateObservable, InvalidLetter, PauliError
 from w52.pentads import pentad_from_planes, pentad_to_pentagram
 
-from conftest import IDENTITY8, dense_commutes, dense_product, dense_sign
-
-CANONICAL_EDGES = [
-    ["XII", "IYI", "IIY", "XYY"],
-    ["YII", "IXI", "IIY", "YXY"],
-    ["YII", "IYI", "IIX", "YYX"],
-    ["XII", "IXI", "IIX", "XXX"],
-    ["XYY", "YXY", "YYX", "XXX"],
-]
+from conftest import CANONICAL_EDGES, IDENTITY8, dense_commutes, dense_product, dense_sign
 
 
 class TestContextSet:

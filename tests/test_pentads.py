@@ -24,17 +24,7 @@ from w52.pentads import (
     _build_pentad,
 )
 
-from conftest import dense_sign
-
-# the worked-example pentagram on a GHZ-style observable set; the last edge
-# is the negative one
-CANONICAL_EDGES = [
-    ["XII", "IYI", "IIY", "XYY"],
-    ["YII", "IXI", "IIY", "YXY"],
-    ["YII", "IYI", "IIX", "YYX"],
-    ["XII", "IXI", "IIX", "XXX"],
-    ["XYY", "YXY", "YYX", "XXX"],
-]
+from conftest import CANONICAL_EDGES, dense_sign
 
 
 @functools.cache

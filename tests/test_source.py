@@ -1,15 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import functools
 import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import SRC
+
 SOURCES = sorted((SRC / "w52").glob("*.py"))
 
 
@@ -78,17 +79,15 @@ def test_no_numpy_imports():
 HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["census", "--out", "{tmp}/census.csv"], ["enumerate", "points"]],
-    ids=["census", "enumerate points"],
-)
-def test_commands_load_no_heavy_modules(tmp_path, argv):
-    argv = [arg.format(tmp=tmp_path) for arg in argv]
+def test_commands_load_no_heavy_modules(tmp_path):
+    # The -O -S child of test_cli.py runs every command without site-packages,
+    # where a soft `try: import numpy` fails silently and loads nothing.  This
+    # child runs with site on, where numpy is importable, so only it sees one.
+    argvs = [["census", "--out", str(tmp_path / "census.csv")], ["enumerate", "points"]]
     code = (
         "import sys; from w52.cli import main; "
-        f"code = main({argv!r}); "
-        f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules)); sys.exit(code)"
+        f"codes = [main(argv) for argv in {argvs!r}]; "
+        f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules)); sys.exit(max(codes))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -116,13 +115,19 @@ def peak_mb(code):
     return int(re.search(r"^VmHWM:\s+(\d+) kB", result.stderr, re.M).group(1)) / 1024
 
 
+@functools.cache
+def import_peak_mb():
+    """:func:`peak_mb` of a process that only imports ``w52.cli``, measured once."""
+    return peak_mb("import w52.cli")
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_census_streams_the_pentads(tmp_path):
     # the census holds one lowest-plane group of pentads at a time, not all
     # 12,096 (about 6 MB above an import when they were built in one list)
     out = str(tmp_path / "census.csv")
     census = peak_mb(f"from w52.cli import main; main(['census', '--out', {out!r}])")
-    assert census - peak_mb("import w52.cli") < 4
+    assert census - import_peak_mb() < 4
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
@@ -132,7 +137,7 @@ def test_json_export_streams_the_pentads(tmp_path):
     out = str(tmp_path / "pentads.json")
     args = ["enumerate", "pentads", "--format", "json", "--out", out]
     export = peak_mb(f"from w52.cli import main; main({args!r})")
-    assert export - peak_mb("import w52.cli") < 4
+    assert export - import_peak_mb() < 4
 
 
 def names_in(path):
@@ -163,3 +168,18 @@ def test_only_taxonomy_knows_the_packed_census_table():
     # other module builds the table or reads a field of it by shift
     readers = [path.name for path in SOURCES if "_pair_table" in names_in(path)]
     assert readers == ["taxonomy.py"]
+
+
+def test_only_main_reports_errors():
+    # a command raises every error, and main alone writes it to stderr and
+    # picks the exit code, so each of the CLI's checks is a raise
+    tree = ast.parse((SRC / "w52" / "cli.py").read_text(encoding="utf-8"))
+    reporters = {
+        getattr(top, "name", f"line {top.lineno}")
+        for top in tree.body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr == "stderr")
+        or (isinstance(node, ast.Name) and node.id == "EXIT_USAGE"
+            and isinstance(node.ctx, ast.Load))
+    }
+    assert reporters == {"main"}
