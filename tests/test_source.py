@@ -79,15 +79,20 @@ def test_no_numpy_imports():
 HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
 
 
-def test_commands_load_no_heavy_modules(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [["census", "--out", "{tmp}/census.csv"], ["enumerate", "points"]],
+    ids=["census", "enumerate points"],
+)
+def test_commands_load_no_heavy_modules(tmp_path, argv):
     # The -O -S child of test_cli.py runs every command without site-packages,
     # where a soft `try: import numpy` fails silently and loads nothing.  This
     # child runs with site on, where numpy is importable, so only it sees one.
-    argvs = [["census", "--out", str(tmp_path / "census.csv")], ["enumerate", "points"]]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = (
         "import sys; from w52.cli import main; "
-        f"codes = [main(argv) for argv in {argvs!r}]; "
-        f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules)); sys.exit(max(codes))"
+        f"code = main({argv!r}); "
+        f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules)); sys.exit(code)"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
