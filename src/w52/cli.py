@@ -137,7 +137,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
     if pentad is None:
         raise TaxonomyViolation(f"the pentad search ended before pentad {args.pentad}")
     w = lambda p: _render_word(p, args.coords)  # noqa: E731
-    print(f"pentad {pentad.pentad_id}: planes {' '.join(str(p) for p in pentad.planes)}")
+    print(f"pentad {args.pentad}: planes {' '.join(str(p) for p in pentad.planes)}")
     if args.view == "planes":
         for plane_id in pentad.planes:
             plane = space.planes[plane_id]

@@ -5,7 +5,9 @@ emitted in a fixed order, and every file ends with a newline.  Every CSV
 table except the streamed pentad CSV goes through :func:`render_csv`.
 
 The pentad census has two export forms, both streamed one pentad at a
-time.  The JSON document carries both contextual sets of every pentad as
+time.  Both writers number the pentads they are given in their order: a
+pentad's id is its position in the canonical stream, which every command
+passes.  The JSON document carries both contextual sets of every pentad as
 Pauli words; :func:`dump_pentads` derives both in one pass over the pentad's
 five flags (:func:`~w52.pentads._derive`), which runs the checks of both
 sets on every record, and joins the record from JSON text rendered once per
@@ -185,7 +187,8 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> 
     and return the number of records written.
 
     Writes what ``json.dump(document, fp, indent=2, ensure_ascii=False)``
-    and a newline would, each record as soon as it is built.  A record joins
+    and a newline would, each record as soon as it is built.  A record's id
+    is the pentad's position in ``pentads``.  A record joins
     word arrays rendered once per call: the pentad's edges and contexts come
     from one pass over its five flags (:func:`~w52.pentads._derive`), which
     reads each flag's facts once per call into the call's memo and runs the
@@ -221,7 +224,7 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> 
         edges = item.join(map(fragment, edges))
         contexts = item.join([contexts_by_line[lid] for lid in line_ids])
         fp.write(
-            f'{sep}{{\n      "id": {"null" if pentad.pentad_id is None else pentad.pentad_id},\n'
+            f'{sep}{{\n      "id": {count - 1},\n'
             f'      "planes": [\n        {planes}\n      ],\n'
             f'      "pentagram": {{\n        "edges": [\n          {edges}\n        ],\n'
             f'        "negative_edges": {signs.count(-1)}\n      }},\n'
@@ -235,16 +238,15 @@ def dump_pentads(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> 
 
 def dump_pentad_csv(fp: io.TextIOBase, space: Space, pentads: Iterable[Pentad]) -> int:
     """Stream the pentad CSV to ``fp``: a header, then one row per pentad with
-    its id, its plane ids and its negative edge and context counts
-    (:func:`~w52.pentads.negative_counts`).  Returns the number of rows after
-    the header."""
+    its id (its position in ``pentads``), its plane ids and its negative edge
+    and context counts (:func:`~w52.pentads.negative_counts`).  Returns the
+    number of rows after the header."""
     fp.write("id,planes,negative_edges,negative_contexts\n")
     count = 0
     for count, pentad in enumerate(pentads, 1):
         a, b, c, d, e = pentad.planes
         edges, contexts = negative_counts(space, pentad)
-        pentad_id = "" if pentad.pentad_id is None else pentad.pentad_id
-        fp.write(f"{pentad_id},{a} {b} {c} {d} {e},{edges},{contexts}\n")
+        fp.write(f"{count - 1},{a} {b} {c} {d} {e},{edges},{contexts}\n")
     return count
 
 

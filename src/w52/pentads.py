@@ -20,11 +20,12 @@ found 5-set still passes the full pentad check, which works on point ids
 alone: it reads the ten meets from ``Space.plane_meets``, requires each
 plane's four to XOR to 0, and reads the distinguished lines from
 ``Space.pair_lines`` (the line through two points).  The canonical output order
-is lexicographic on the sorted plane id 5-tuples, and pentad ids are the
-ranks in that order.  The search is a stream: it walks the lowest planes in
-id order, sorts one plane's finds (at most 448 pentads) and yields each as
-soon as it passes the check, so a command that reads every pentad once never
-holds all 12,096; :func:`enumerate_pentads` collects the stream in a tuple.
+is lexicographic on the sorted plane id 5-tuples, and a pentad's id is its
+position in that order; a :class:`Pentad` does not carry it.  The search is
+a stream: it walks the lowest planes in id order, sorts one plane's finds
+(at most 448 pentads) and yields each as soon as it passes the check, so a
+command that reads every pentad once never holds all 12,096;
+:func:`enumerate_pentads` collects the stream in a tuple.
 
 Each plane of a pentad with its distinguished line is a flag of
 ``Space.flags``, which holds that plane's pentagram edge, its sign, the
@@ -95,35 +96,18 @@ class ClosureNotIsotropicPlane(ValueError):
     """An edge's XOR closure is not a totally isotropic Fano plane."""
 
 
-class Pentad(
-    namedtuple("Pentad", "planes meet_points distinguished_lines pentad_id", defaults=(None,))
-):
+class Pentad(namedtuple("Pentad", "planes meet_points distinguished_lines")):
     """Five planes with ten distinct single-point meets and affine shared parts.
 
     ``planes`` holds the five plane ids (ints), sorted; ``meet_points`` the
     ten pairwise intersection point ids in the fixed pair order (0,1), (0,2),
     ..., (3,4) over ``planes``; ``distinguished_lines[i]`` is the line id of
-    ``planes[i]`` whose complement is that plane's four shared points.
-    ``pentad_id`` (int, or None by default) is the census rank and is
-    excluded from equality so that reconstructed pentads compare equal to
-    enumerated ones.
+    ``planes[i]`` whose complement is that plane's four shared points.  A
+    pentad carries no id: its id is its position in the canonical stream
+    (:func:`enumerate_pentads`).
     """
 
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Pentad):
-            return self[:3] == other[:3]
-        return NotImplemented
-
-    # tuple's own != would compare pentad_id too
-    def __ne__(self, other: object) -> bool:
-        if isinstance(other, Pentad):
-            return self[:3] != other[:3]
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self[:3])
 
     def meet(self, plane_a: int, plane_b: int) -> int:
         """The single intersection point of two of the pentad's planes."""
@@ -179,9 +163,7 @@ class ContextualConfig(namedtuple("ContextualConfig", "observables contexts cont
 # enumeration
 
 
-def _build_pentad(
-    space: Space, plane_ids: Sequence[int], pentad_id: int | None = None
-) -> Pentad | None:
+def _build_pentad(space: Space, plane_ids: Sequence[int]) -> Pentad | None:
     """Assemble a Pentad from five plane ids, or None if they are not one.
 
     The ids must be sorted and distinct, and each pair must meet in a single
@@ -223,7 +205,7 @@ def _build_pentad(
     )
     if None in distinguished:
         return None
-    return Pentad(ids, meets, distinguished, pentad_id)
+    return Pentad(ids, meets, distinguished)
 
 
 def _search(space: Space) -> Iterator[Pentad]:
@@ -238,15 +220,13 @@ def _search(space: Space) -> Iterator[Pentad]:
 
     The planes are walked in id order, and each plane's finds are sorted and
     yielded before the next plane is searched, so one plane's group (at most
-    448 pentads) is held at a time; the ids are ranks over the whole stream.
-    A 5-set that fails :func:`_build_pentad`, or is found twice (a repeat
-    has the same lowest plane, so it lands in the same group), raises
-    :class:`TaxonomyViolation` when the stream reaches it.
+    448 pentads) is held at a time.  A 5-set that fails :func:`_build_pentad`,
+    or is found twice (a repeat has the same lowest plane, so it lands in the
+    same group), raises :class:`TaxonomyViolation` when the stream reaches it.
     """
     meet = space.plane_meets
     plane_id_by_mask = space._plane_id_by_mask
     bit = _POINT_BIT
-    rank = 0
     for a, plane in enumerate(space.planes):
         meet_a = meet[a]
         partners: dict[int, list[int]] = {p: [] for p in plane.points}
@@ -279,26 +259,23 @@ def _search(space: Space) -> Iterator[Pentad]:
         found.sort()
         previous = None
         for ids in found:
-            pentad = _build_pentad(space, ids, rank)
+            pentad = _build_pentad(space, ids)
             if pentad is None or ids == previous:
                 raise TaxonomyViolation(f"pentad search proposed planes {ids}, not a new pentad")
             yield pentad
             previous = ids
-            rank += 1
 
 
 def enumerate_pentads(space: Space) -> tuple[Pentad, ...]:
     """All Fano pentads, in lexicographic order of their plane 5-tuples.
 
-    The search numbers the pentads in that order, so their ids are their
-    ranks.
+    That order is canonical: pentad i is ``enumerate_pentads(space)[i]``, so a
+    pentad's id is its position here.
     """
     return tuple(_search(space))
 
 
-def pentad_from_planes(
-    space: Space, plane_ids: Sequence[int], pentad_id: int | None = None
-) -> Pentad:
+def pentad_from_planes(space: Space, plane_ids: Sequence[int]) -> Pentad:
     """Validate five plane ids as a Fano pentad and assemble it.
 
     Raises ValueError for anything else, ``plane_ids`` that cannot be
@@ -308,7 +285,7 @@ def pentad_from_planes(
         ids = sorted(map(_check_plane_id, plane_ids))
     except TypeError:
         raise ValueError(f"plane ids must be a list of ints, got {plane_ids!r}") from None
-    pentad = _build_pentad(space, ids, pentad_id)
+    pentad = _build_pentad(space, ids)
     if pentad is None:
         raise ValueError(f"planes {ids} do not form a Fano pentad")
     return pentad

@@ -11,7 +11,9 @@ holds what each flag of ``Space.flags`` (a plane with one line singled out)
 adds to a signature as one integer; the census sums these over each
 pentad's five (plane, distinguished line) flags, groups the pentads by that
 sum, and unpacks one signature per group: exactly 47 types in eight
-families keyed by negative-context count.
+families keyed by negative-context count.  A pentad's id is its position in
+the canonical stream; the census numbers the pentads it is given in their
+order, and names each type's first as its example.
 
 Census ordinals are assigned by a canonical sort of the signatures and are
 not claimed to match the reference table's numbering; agreement with the
@@ -104,7 +106,8 @@ class ConfigSignature(
 class TypeRecord(namedtuple("TypeRecord", "assigned_type signature multiplicity example_pentad")):
     """One census type: ``assigned_type`` (int) is its ordinal from 1,
     ``signature`` its :class:`ConfigSignature`, ``multiplicity`` (int) its
-    number of pentads and ``example_pentad`` (int) the lowest of their ids."""
+    number of pentads and ``example_pentad`` (int) the id of its first pentad,
+    its position in the pentads classified."""
 
     __slots__ = ()
 
@@ -175,16 +178,18 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
 
     A group's key is the sum of its pentads' entries in the per-flag table
     (:func:`_pair_table`, built once per call) and the count of their
-    type-A meet points on negative edges, its signature is unpacked from
-    that key, and its example is its lowest pentad id.  Raises
-    ValueError naming the first pentad that has no id,
-    :class:`TypeCountMismatch` (with the census attached) if the number of
-    distinct signatures is not 47, and then :class:`TaxonomyViolation` if the
-    types hold other than the paper's 12,096 pentads.
+    type-A meet points on negative edges, and its signature is unpacked from
+    that key.  The pentads are numbered in the order given, so a pentad's id
+    is its position in ``pentads`` and a type's example is the id of its
+    first pentad; the canonical stream, which every command passes, gives
+    the census ids.  Raises :class:`TypeCountMismatch` (with the census
+    attached) if the number of distinct signatures is not 47, and then
+    :class:`TaxonomyViolation` if the types hold other than the paper's
+    12,096 pentads.
     """
     rows = _pair_table(space)
     groups: dict[tuple[int, int], list[int]] = {}
-    for pentad in pentads:
+    for pentad_id, pentad in enumerate(pentads):
         (a, b, c, d, e), (la, lb, lc, ld, le) = pentad.planes, pentad.distinguished_lines
         pa, na = rows[a][la]
         pb, nb = rows[b][lb]
@@ -192,12 +197,7 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
         pd, nd = rows[d][ld]
         pe, ne = rows[e][le]
         key = pa + pb + pc + pd + pe, (na | nb | nc | nd | ne).bit_count()
-        pentad_id = pentad.pentad_id
-        if pentad_id is None:
-            raise ValueError(f"pentad {pentad.planes} has no id to stand as its type's example")
-        group = groups.setdefault(key, [0, pentad_id])
-        group[0] += 1
-        group[1] = min(group[1], pentad_id)
+        groups.setdefault(key, [0, pentad_id])[0] += 1
     signed = []
     for (total, a_count), (count, example) in groups.items():
         f = [(total >> (8 * k)) & 255 for k in range(12)]

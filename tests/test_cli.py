@@ -393,7 +393,7 @@ class TestCensusPipeline:
         stream = pentads_module._search(space)
         first = next(stream)
         assert first == pentads[0]
-        assert first.pentad_id == 0
+        assert next(stream) == pentads[1]
         with pytest.raises(TaxonomyViolation, match="not a new pentad"):
             for _ in stream:
                 pass
@@ -403,8 +403,8 @@ def reject_planes(monkeypatch, victim):
     """Make the one pentad check reject the 5-set ``victim`` alone."""
     build = pentads_module._build_pentad
 
-    def reject_one(space, plane_ids, pentad_id=None):
-        return None if tuple(plane_ids) == victim else build(space, plane_ids, pentad_id)
+    def reject_one(space, plane_ids):
+        return None if tuple(plane_ids) == victim else build(space, plane_ids)
 
     monkeypatch.setattr(pentads_module, "_build_pentad", reject_one)
 

@@ -27,10 +27,10 @@ def words(rows):
     return [[WORDS[p - 1] for p in row] for row in rows]
 
 
-def record(pentad, edges, negative_edges, contexts, negative_contexts):
+def record(pentad_id, pentad, edges, negative_edges, contexts, negative_contexts):
     """One record of the export document, its edges and contexts given as words."""
     return {
-        "id": pentad.pentad_id,
+        "id": pentad_id,
         "planes": list(pentad.planes),
         "pentagram": {"edges": edges, "negative_edges": negative_edges},
         "config": {"contexts": contexts, "negative_contexts": negative_contexts},
@@ -49,17 +49,20 @@ def document(records):
 
 def test_dump_pentads_layout_matches_json_module(space, pentads, pentagrams, configs):
     # no record, one, several, and a run from the middle of the census, each
-    # given as a sequence and as a generator, which has no truth value of its own
-    for chosen in (pentads[:0], pentads[:1], pentads[:3], pentads[6000:6010]):
+    # given as a sequence and as a generator, which has no truth value of its
+    # own; the writer numbers what it is given, so the run's ids start at 0
+    for start, stop in ((0, 0), (0, 1), (0, 3), (6000, 6010)):
+        chosen = pentads[start:stop]
         doc = document([
             record(
+                pentad_id,
                 pentad,
-                words(pentagrams[pentad.pentad_id].edges),
-                pentagrams[pentad.pentad_id].negative_edges,
-                words(configs[pentad.pentad_id].contexts),
-                configs[pentad.pentad_id].negative_contexts,
+                words(pentagrams[start + pentad_id].edges),
+                pentagrams[start + pentad_id].negative_edges,
+                words(configs[start + pentad_id].contexts),
+                configs[start + pentad_id].negative_contexts,
             )
-            for pentad in chosen
+            for pentad_id, pentad in enumerate(chosen)
         ])
         for given in (chosen, (pentad for pentad in chosen)):
             buf = io.StringIO()
@@ -84,16 +87,18 @@ def test_exports_match_sets_built_from_the_planes_for_every_pentad(space, pentad
                 sum(map(negative.__getitem__, six)),
             )
     records, rows = [], ["id,planes,negative_edges,negative_contexts"]
-    for pentad in pentads:
+    for pentad_id, pentad in enumerate(pentads):
         built = [flags[key] for key in zip(pentad.planes, pentad.distinguished_lines)]
         # both sets are listed in order of their point ids
         edges = [w for _, w in sorted([edge for edge, _, _, _ in built])]
         contexts = [w for _, w in sorted([c for _, _, six, _ in built for c in six])]
         negative_edges = sum([negative for _, negative, _, _ in built])
         negative_contexts = sum([negative for _, _, _, negative in built])
-        records.append(record(pentad, edges, negative_edges, contexts, negative_contexts))
+        records.append(
+            record(pentad_id, pentad, edges, negative_edges, contexts, negative_contexts)
+        )
         planes = " ".join(map(str, pentad.planes))
-        rows.append(f"{pentad.pentad_id},{planes},{negative_edges},{negative_contexts}")
+        rows.append(f"{pentad_id},{planes},{negative_edges},{negative_contexts}")
     text, table = io.StringIO(), io.StringIO()
     assert export.dump_pentads(text, space, iter(pentads)) == len(pentads)
     assert export.dump_pentad_csv(table, space, iter(pentads)) == len(pentads)
@@ -162,16 +167,16 @@ def corrupt(space, pentads, configs, kind):
         }[kind]
         space.flags[plane_id, line_id] = flag._replace(lines=(replacement,) + six[1:])
         key = plane_id, line_id
-        return {p.pentad_id for p in pentads if key in zip(p.planes, p.distinguished_lines)}
+        return {i for i, p in enumerate(pentads) if key in zip(p.planes, p.distinguished_lines)}
     if kind.startswith("line"):
         if kind == "line tally":
             space.line_tally[six[0]] += 1 << 4 * point
         else:  # the point counts stay right, and only the line's sign is wrong
             space.line_tally[six[0]] ^= 1 << NEGATIVE_BIT
         line = space.lines[six[0]].points
-        return {p.pentad_id for p, c in zip(pentads, configs) if line in c.contexts}
+        return {i for i, c in enumerate(configs) if line in c.contexts}
     space.plane_tally[plane_id] += 1 << 4 * point
-    return {p.pentad_id for p in pentads if plane_id in p.planes}
+    return {i for i, p in enumerate(pentads) if plane_id in p.planes}
 
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
@@ -180,14 +185,15 @@ def test_corrupt_context_table_fails_exactly_the_pentads_reading_it(pentads, con
     expected = corrupt(space, pentads, configs, kind)
     assert len(expected) == {"line": 1152, "plane": 448}.get(kind.split()[0], 64)
     failed = set()
-    for pentad in pentads:
+    for pentad_id, pentad in enumerate(pentads):
         try:
             pentad_to_config(space, pentad)
         except TaxonomyViolation:
-            failed.add(pentad.pentad_id)
+            failed.add(pentad_id)
     assert failed == expected
     # the writer passes every other pentad and fails each of these on its own
-    export.dump_pentads(io.StringIO(), space, [p for p in pentads if p.pentad_id not in expected])
+    others = [p for i, p in enumerate(pentads) if i not in expected]
+    export.dump_pentads(io.StringIO(), space, others)
     for pentad_id in sorted(expected)[:64]:
         with pytest.raises(TaxonomyViolation):
             export.dump_pentads(io.StringIO(), space, [pentads[pentad_id]])
@@ -259,7 +265,8 @@ def test_repeated_contexts_that_keep_every_tally_are_rejected(pentads):
 
 
 def test_dump_pentad_csv_matches_csv_module(space, pentads):
-    # the last pentad is rebuilt from its planes, so it has no id
+    # the last pentad is rebuilt from its planes; the writer numbers each
+    # pentad by its place in what it is given, so that one is 3
     chosen = list(pentads[:3]) + [pentad_from_planes(space, pentads[6000].planes)]
     buf = io.StringIO()
     export.dump_pentad_csv(buf, space, chosen)
@@ -268,8 +275,8 @@ def test_dump_pentad_csv_matches_csv_module(space, pentads):
     writer.writerow(["id", "planes", "negative_edges", "negative_contexts"])
     # the counts come from the derived sets, not from negative_counts, which
     # the writer itself calls
-    for pentad in chosen:
-        writer.writerow([pentad.pentad_id, " ".join(map(str, pentad.planes)),
+    for pentad_id, pentad in enumerate(chosen):
+        writer.writerow([pentad_id, " ".join(map(str, pentad.planes)),
                          pentad_to_pentagram(space, pentad).negative_edges,
                          pentad_to_config(space, pentad).negative_contexts])
     assert buf.getvalue() == expected.getvalue()

@@ -33,7 +33,7 @@ def line_id_by_mask(space):
     return {line.mask: line.line_id for line in space.lines}
 
 
-def reference_check(space, plane_ids, pentad_id=None):
+def reference_check(space, plane_ids):
     """Reference pentad check from the plane masks alone: the Pentad, or why
     the five ids are not one."""
     ids = tuple(plane_ids)
@@ -60,7 +60,7 @@ def reference_check(space, plane_ids, pentad_id=None):
         if line_id is None:
             return "shared points include a line"
         distinguished.append(line_id)
-    return Pentad(ids, tuple(meets), tuple(distinguished), pentad_id)
+    return Pentad(ids, tuple(meets), tuple(distinguished))
 
 
 def set_meet(space, i, j, point):
@@ -97,7 +97,7 @@ def depth5_search(space):
                 bits |= b
             else:
                 if depth == 4:
-                    pentad = reference_check(space, chosen + [j], len(out))
+                    pentad = reference_check(space, chosen + [j])
                     if isinstance(pentad, Pentad):
                         out.append(pentad)
                 else:
@@ -136,7 +136,8 @@ class TestEnumeration:
     def test_ids_are_ranks_in_lexicographic_order(self, pentads):
         tuples = [p.planes for p in pentads]
         assert tuples == sorted(tuples)
-        assert [p.pentad_id for p in pentads] == list(range(12096))
+        rank = {planes: i for i, planes in enumerate(sorted(set(tuples)))}
+        assert [rank[planes] for planes in tuples] == list(range(12096))
 
     def test_meet_points_pairwise_distinct(self, pentads):
         for p in pentads:
@@ -163,14 +164,14 @@ class TestEnumeration:
     def test_matches_the_depth5_reference_search(self, space, pentads):
         reference = depth5_search(space)
         assert reference == pentads
-        assert [p.pentad_id for p in reference] == [p.pentad_id for p in pentads]
+        assert dict(enumerate(reference)) == dict(enumerate(pentads))
 
     def test_pentad_check_agrees_with_the_reference(self, space, pentads):
         for pentad in pentads:
-            built = _build_pentad(space, pentad.planes, pentad.pentad_id)
-            reference = reference_check(space, pentad.planes, pentad.pentad_id)
+            built = _build_pentad(space, pentad.planes)
+            reference = reference_check(space, pentad.planes)
             assert built == reference == pentad
-            assert built.pentad_id == reference.pentad_id
+            assert type(built) is type(reference) is Pentad
         rejected = rejected_sample(space, pentads)
         assert sorted(rejected) == [
             "disjoint planes",
@@ -213,8 +214,8 @@ class TestEnumeration:
             "a point off the plane": min(set(range(1, 64)) - set(points)),
         }[to]
         set_meet(space, a, b, wrong)
-        rejected = {p.pentad_id for p in pentads if _build_pentad(space, p.planes) is None}
-        assert rejected == {p.pentad_id for p in pentads if {a, b} <= set(p.planes)}
+        rejected = {i for i, p in enumerate(pentads) if _build_pentad(space, p.planes) is None}
+        assert rejected == {i for i, p in enumerate(pentads) if {a, b} <= set(p.planes)}
         assert len(rejected) == 32
 
     def test_a_zero_meet_is_rejected_even_when_every_xor_holds(self, pentads):
@@ -262,7 +263,7 @@ class TestEnumeration:
 
     def test_pentad_from_planes_round_trip(self, space, pentads):
         sample = pentads[4321]
-        rebuilt = pentad_from_planes(space, sample.planes, pentad_id=sample.pentad_id)
+        rebuilt = pentad_from_planes(space, sample.planes)
         assert rebuilt == sample
 
     def test_pentad_from_planes_rejects_non_pentads(self, space):
@@ -395,7 +396,7 @@ class TestCanonicalPentagram:
         assert pentad_to_pentagram(space, pentad) == g
         by_planes = {p.planes: p for p in pentads}
         assert pentad.planes in by_planes
-        assert by_planes[pentad.planes] == pentad  # pentad_id excluded from equality
+        assert by_planes[pentad.planes] == pentad
 
 
 class TestRoundTrip:

@@ -1,5 +1,5 @@
 """The package's record types: immutable, validated on construction, and a
-pentad's equality blind to its census id."""
+pentad a plain record of its planes, meets and distinguished lines."""
 
 import copy
 import pickle
@@ -73,7 +73,6 @@ def test_every_record_survives_pickle_and_copy(space, pentads, census):
         assert restored == record and type(restored) is type(record)
         assert copy.copy(record) == record
         assert record._fields == record.__match_args__
-    assert Pentad._field_defaults == {"pentad_id": None}
 
 
 @pytest.mark.parametrize(
@@ -131,10 +130,11 @@ def test_observable_repr_names_id_and_word():
     assert repr(Observable(30)) == "Observable(30, 'XYZ')"
 
 
-def test_pentad_equality_and_hash_ignore_the_id(space, pentads):
+def test_a_rebuilt_pentad_equals_the_streamed_one(space, pentads):
+    # a pentad carries no id, so one rebuilt from its planes is the same record
+    assert Pentad._fields == ("planes", "meet_points", "distinguished_lines")
     sample, other = pentads[4321], pentads[4322]
     rebuilt = pentad_from_planes(space, sample.planes)
-    assert rebuilt.pentad_id is None and sample.pentad_id == 4321
     assert rebuilt == sample and sample == rebuilt
     assert not rebuilt != sample and not sample != rebuilt
     assert hash(rebuilt) == hash(sample)
