@@ -31,9 +31,9 @@ def w(point_id):
 
 pentad = pentads[0]
 print(f"\npentad 0: planes {pentad.planes}")
-for plane_id in pentad.planes:
+for plane_id, line_id in zip(pentad.planes, pentad.distinguished_lines):
     plane = space.planes[plane_id]
-    shared = " ".join(w(p) for p in pentad.shared_points(plane_id))
+    shared = " ".join(w(p) for p in space.flags[plane_id, line_id].affine)
     print(f"  plane {plane_id} [{plane.plane_class}]: shared points {shared}")
 
 pentagram = pentad_to_pentagram(space, pentad)

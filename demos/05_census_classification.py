@@ -28,10 +28,10 @@ print(f"families by negative-context count: {census.family_sizes}")
 # --- the census table -----------------------------------------------------------
 
 print("\n  T  count   C-  O_A O_B O_C   F- Fa Fb Fc   P(C- A B C a_neg)  example")
-for r in census.records:
+for type_id, r in enumerate(census.records, 1):
     s = r.signature
     p = s.pentagram
-    print(f" {r.assigned_type:3d} {r.multiplicity:6d}   {s.negative_contexts:2d}   "
+    print(f" {type_id:3d} {r.multiplicity:6d}   {s.negative_contexts:2d}   "
           f"{s.obs_a:2d}  {s.obs_b:2d}  {s.obs_c:2d}   {s.neg_planes:2d} {s.planes_a:2d} "
           f"{s.planes_b:2d} {s.planes_c:2d}   ({p.negative_edges} {p.obs_a:2d} {p.obs_b} "
           f"{p.obs_c} {p.a_on_negative})  {r.example_pentad:5d}")

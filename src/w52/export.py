@@ -67,21 +67,21 @@ def points_table(space: Space, coords: bool = False) -> list[dict]:
 
 def lines_table(space: Space) -> list[dict]:
     return [
-        {"id": line.line_id, "points": [WORDS[p - 1] for p in line.points], "sign": line.sign}
-        for line in space.lines
+        {"id": line_id, "points": [WORDS[p - 1] for p in line.points], "sign": line.sign}
+        for line_id, line in enumerate(space.lines)
     ]
 
 
 def planes_table(space: Space) -> list[dict]:
     return [
         {
-            "id": plane.plane_id,
+            "id": plane_id,
             "points": [WORDS[p - 1] for p in plane.points],
             "sign": plane.sign,
             "class": plane.plane_class.value,
             "b_line": plane.b_line,
         }
-        for plane in space.planes
+        for plane_id, plane in enumerate(space.planes)
     ]
 
 
@@ -129,11 +129,12 @@ _CENSUS_COLUMNS = (
 
 
 def census_csv(census) -> str:
-    """The census summary table, one row per type in canonical order."""
+    """The census summary table, one row per type in canonical order, numbered
+    from 1."""
     rows = []
-    for record in census.records:
+    for type_id, record in enumerate(census.records, 1):
         sig = record.signature
-        fields = (record.assigned_type, record.multiplicity, *sig.table_row, *sig.pentagram,
+        fields = (type_id, record.multiplicity, *sig.table_row, *sig.pentagram,
                   record.example_pentad)
         rows.append(dict(zip(_CENSUS_COLUMNS, fields)))
     return render_csv(rows)

@@ -12,6 +12,10 @@ product of its observables, and every plane falls into one of four classes:
 * ``b``         -- positive, affine part 1 A + 3 C, no negative lines;
 * ``c``         -- positive, affine part 3 A + 1 C.
 
+A line's id is its position in ``Space.lines`` and a plane's its position
+in ``Space.planes``, both sorted by point tuple; a :class:`Line` or
+:class:`Plane` does not carry it.
+
 Each incidence fact has one table in ``Space``.  ``Space.pair_lines`` (the
 line through two points) is built with the lines and gives the planes their
 lines.  ``Space.flags`` holds all 945 flags (a plane with one line singled
@@ -134,10 +138,11 @@ class PlaneClass(enum.Enum):
         return self.value
 
 
-class Line(namedtuple("Line", "line_id points sign")):
-    """A totally isotropic line: ``line_id`` (int) is its rank in 0..314,
-    ``points`` its three mutually commuting point ids (ints), closed under
-    XOR and sorted, and ``sign`` (+1 or -1) the sign of their product."""
+class Line(namedtuple("Line", "points sign")):
+    """A totally isotropic line: ``points`` holds its three mutually
+    commuting point ids (ints), closed under XOR and sorted, and ``sign``
+    (+1 or -1) is the sign of their product.  A line's id is its position
+    in ``Space.lines``, 0..314."""
 
     __slots__ = ()
 
@@ -146,12 +151,13 @@ class Line(namedtuple("Line", "line_id points sign")):
         return _mask_of(self.points)
 
 
-class Plane(namedtuple("Plane", "plane_id points lines sign b_line plane_class")):
+class Plane(namedtuple("Plane", "points lines sign b_line plane_class")):
     """A Fano plane, seven mutually commuting points forming a 2-subspace:
-    ``plane_id`` (int) is its rank in 0..134; ``points`` and ``lines`` its
-    point ids and line ids (ints), sorted; ``sign`` (+1 or -1) the sign of
-    the points' product; ``b_line`` (int) the line of its three type-B
-    points; ``plane_class`` its :class:`PlaneClass`."""
+    ``points`` and ``lines`` hold its point ids and line ids (ints), sorted;
+    ``sign`` (+1 or -1) is the sign of the points' product; ``b_line`` (int)
+    the line of its three type-B points; ``plane_class`` its
+    :class:`PlaneClass`.  A plane's id is its position in ``Space.planes``,
+    0..134."""
 
     __slots__ = ()
 
@@ -179,7 +185,7 @@ def _sign_of_points(points: Sequence[int]) -> int:
 
 
 def enumerate_lines() -> tuple[Line, ...]:
-    """All 315 isotropic lines, sorted by point triple; ids are the ranks.
+    """All 315 isotropic lines, sorted by point triple; a line's id is its rank.
 
     The lines depend on the constant ``COMMUTE_MASK`` alone, so their count
     has no runtime check: ``test_geometry.py::TestCounts::test_315_lines``
@@ -189,11 +195,11 @@ def enumerate_lines() -> tuple[Line, ...]:
     for a in range(1, 64):
         for b in _mask_points(COMMUTE_MASK[a] >> (a + 1) << (a + 1)):
             triples.add(tuple(sorted((a, b, a ^ b))))
-    return tuple(Line(i, pts, _sign_of_points(pts)) for i, pts in enumerate(sorted(triples)))
+    return tuple(Line(pts, _sign_of_points(pts)) for pts in sorted(triples))
 
 
 def enumerate_planes(lines: Sequence[Line], pair_lines: Sequence[Sequence]) -> tuple[Plane, ...]:
-    """All 135 Fano planes, sorted by point tuple; ids are the ranks.
+    """All 135 Fano planes, sorted by point tuple; a plane's id is its rank.
 
     ``lines`` must be all 315 lines, as :func:`enumerate_lines` returns
     them; any other count raises :class:`ValueError`.  Each line is
@@ -220,7 +226,7 @@ def enumerate_planes(lines: Sequence[Line], pair_lines: Sequence[Sequence]) -> t
             seen.add(span)
             cand &= ~span
     planes = []
-    for plane_id, pts in enumerate(sorted(map(_mask_points, seen))):
+    for pts in sorted(map(_mask_points, seen)):
         line_ids = {pair_lines[p][q] for i, p in enumerate(pts) for q in pts[i + 1 :]}
         if None in line_ids or len(line_ids) != 7:
             raise TaxonomyViolation(f"plane {pts} does not contain exactly 7 lines")
@@ -228,7 +234,7 @@ def enumerate_planes(lines: Sequence[Line], pair_lines: Sequence[Sequence]) -> t
         sign = _sign_of_points(pts)
         b_line = _b_line_of(pts, pair_lines)
         plane_class = _classify(pts, line_ids, sign, b_line, lines)
-        planes.append(Plane(plane_id, pts, line_ids, sign, b_line, plane_class))
+        planes.append(Plane(pts, line_ids, sign, b_line, plane_class))
     return tuple(planes)
 
 
@@ -304,8 +310,8 @@ def classify_plane(space: "Space", plane: Plane) -> PlaneClass:
 
 def affine_part(plane: Plane, line: Line) -> tuple[int, int, int, int]:
     """The four points of the plane not on the line (an affine plane of order two)."""
-    if line.line_id not in plane.lines:
-        raise LineNotInPlane(f"line {line.line_id} does not lie in plane {plane.plane_id}")
+    if line.mask & ~plane.mask:
+        raise LineNotInPlane(f"line {line.points} does not lie in plane {plane.points}")
     return tuple(p for p in plane.points if p not in line.points)  # type: ignore[return-value]
 
 
@@ -329,9 +335,9 @@ class Space:
         #: ``pair_lines[p][q]`` is the line through points p and q, and None
         #: when they are not two distinct points of a line (0 included)
         pair_lines: list[list[int | None]] = [[None] * 64 for _ in range(64)]
-        for line in self.lines:
+        for line_id, line in enumerate(self.lines):
             for p, q in permutations(line.points, 2):
-                pair_lines[p][q] = line.line_id
+                pair_lines[p][q] = line_id
         self.pair_lines = tuple(map(tuple, pair_lines))
         self.planes = enumerate_planes(self.lines, self.pair_lines)
         self.plane_masks = tuple(plane.mask for plane in self.planes)
@@ -379,16 +385,16 @@ class Space:
 
     def lines_through(self, point_id: int) -> tuple[int, ...]:
         self._check_point(point_id)
-        return tuple(line.line_id for line in self.lines if point_id in line.points)
+        return tuple(i for i, line in enumerate(self.lines) if point_id in line.points)
 
     def planes_through(self, point_id: int) -> tuple[int, ...]:
         self._check_point(point_id)
-        return tuple(plane.plane_id for plane in self.planes if point_id in plane.points)
+        return tuple(i for i, plane in enumerate(self.planes) if point_id in plane.points)
 
     def planes_on_line(self, line_id: int) -> tuple[int, ...]:
         if not _is_id(line_id, 0, 314):
             raise UnknownId(f"no line with id {line_id!r}")
-        return tuple(plane.plane_id for plane in self.planes if line_id in plane.lines)
+        return tuple(i for i, plane in enumerate(self.planes) if line_id in plane.lines)
 
     def line_id_of(self, points: Iterable[int | Observable]) -> int:
         ids = self._as_ids(points)

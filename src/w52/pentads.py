@@ -74,10 +74,6 @@ __all__ = [
     "pentagram_to_pentad",
 ]
 
-# positions of the 10 unordered pairs within a sorted plane 5-tuple
-_PAIRS = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-
 # the point-count fields of a context tally, below its negative count
 _COUNT_BITS = (1 << NEGATIVE_BIT) - 1
 
@@ -104,55 +100,45 @@ class Pentad(namedtuple("Pentad", "planes meet_points distinguished_lines")):
     ..., (3,4) over ``planes``; ``distinguished_lines[i]`` is the line id of
     ``planes[i]`` whose complement is that plane's four shared points.  A
     pentad carries no id: its id is its position in the canonical stream
-    (:func:`enumerate_pentads`).
+    (:func:`enumerate_pentads`).  Its plane queries are the space's tables:
+    two of its planes ``a`` and ``b`` meet at ``Space.plane_meets[a][b]``,
+    and the shared points of ``planes[k]`` are the ``affine`` quadruple of
+    its flag ``Space.flags[planes[k], distinguished_lines[k]]``.
     """
 
     __slots__ = ()
 
-    def meet(self, plane_a: int, plane_b: int) -> int:
-        """The single intersection point of two of the pentad's planes."""
-        i, j = sorted((self._position(plane_a), self._position(plane_b)))
-        if i == j:
-            raise ValueError(f"plane {plane_a!r} given twice for a meet in pentad {self.planes}")
-        return self.meet_points[_PAIRS.index((i, j))]
 
-    def shared_points(self, plane_id: int) -> tuple[int, int, int, int]:
-        """The four meet points lying in the given plane, sorted."""
-        pos = self._position(plane_id)
-        pts = [m for (i, j), m in zip(_PAIRS, self.meet_points) if pos in (i, j)]
-        return tuple(sorted(pts))  # type: ignore[return-value]
-
-    def distinguished_line(self, plane_id: int) -> int:
-        """Line id whose complement in the plane equals the shared points."""
-        return self.distinguished_lines[self._position(plane_id)]
-
-    def _position(self, plane_id: int) -> int:
-        try:
-            return self.planes.index(_check_plane_id(plane_id))
-        except ValueError:
-            raise ValueError(f"plane {plane_id!r} is not in pentad {self.planes}") from None
-
-
-class Pentagram(namedtuple("Pentagram", "observables edges edge_signs")):
+class Pentagram(namedtuple("Pentagram", "edges edge_signs")):
     """Ten observables on five 4-element contexts, each observable on two:
-    ``observables`` holds the ten point ids (ints), sorted; ``edges`` the
-    contexts as sorted quadruples of point ids, in sorted order; and
-    ``edge_signs`` the sign (+1 or -1) of each edge, aligned with ``edges``."""
+    ``edges`` holds the contexts as sorted quadruples of point ids (ints),
+    in sorted order, and ``edge_signs`` the sign (+1 or -1) of each edge,
+    aligned with ``edges``."""
 
     __slots__ = ()
+
+    @property
+    def observables(self) -> tuple[int, ...]:
+        """The point ids on the edges, sorted: a pentad's ten meet points."""
+        return tuple(sorted({p for edge in self.edges for p in edge}))
 
     @property
     def negative_edges(self) -> int:
         return sum(1 for s in self.edge_signs if s < 0)
 
 
-class ContextualConfig(namedtuple("ContextualConfig", "observables contexts context_signs")):
+class ContextualConfig(namedtuple("ContextualConfig", "contexts context_signs")):
     """Twenty-five observables on thirty 3-element contexts (isotropic lines):
-    ``observables`` holds the point ids (ints), sorted; ``contexts`` the
-    contexts as sorted triples of point ids, in sorted order; and
-    ``context_signs`` the sign (+1 or -1) of each, aligned with ``contexts``."""
+    ``contexts`` holds the contexts as sorted triples of point ids (ints),
+    in sorted order, and ``context_signs`` the sign (+1 or -1) of each,
+    aligned with ``contexts``."""
 
     __slots__ = ()
+
+    @property
+    def observables(self) -> tuple[int, ...]:
+        """The point ids on the contexts, sorted: the five planes' points."""
+        return tuple(sorted({p for context in self.contexts for p in context}))
 
     @property
     def negative_contexts(self) -> int:
@@ -387,16 +373,16 @@ def pentad_to_pentagram(space: Space, pentad: Pentad) -> Pentagram:
     all the checks of :func:`pentad_to_config` run.
     """
     edges, signs, _, _ = _derive(space, pentad, {})
-    return Pentagram(tuple(sorted(pentad.meet_points)), edges, signs)
+    return Pentagram(edges, signs)
 
 
 def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
     """The 25-observable / 30-context configuration hosted by the pentad.
 
     Contexts are the six non-distinguished lines of each plane, in line-id
-    order; observables are the union of the five planes' points, sorted:
-    the ten meet points, which occur in six contexts each, and the fifteen
-    distinguished-line points, which occur in two.
+    order.  They cover the five planes' points: the ten meet points, which
+    occur in six contexts each, and the fifteen distinguished-line points,
+    which occur in two.
 
     Both of the pentad's sets are derived in one pass over its five flags,
     which raises :class:`TaxonomyViolation` unless the pentagram's number of
@@ -410,10 +396,8 @@ def pentad_to_config(space: Space, pentad: Pentad) -> ContextualConfig:
     rather than checked at run time.
     """
     _, _, line_ids, _ = _derive(space, pentad, {})
-    _, contexts, signs = zip(*itemgetter(*line_ids)(space.lines))  # the Line fields as columns
-    a, b, c, d, e = itemgetter(*pentad.planes)(space.planes)
-    observables = sorted({*a.points, *b.points, *c.points, *d.points, *e.points})
-    return ContextualConfig(tuple(observables), contexts, signs)
+    contexts, signs = zip(*itemgetter(*line_ids)(space.lines))  # the Line fields as columns
+    return ContextualConfig(contexts, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +422,7 @@ def pentagram_from_edges(edges: Iterable[Iterable[Observable | str | int]]) -> P
     report, symbol = analyze(context_set), wa_symbol(context_set)
     if report.verdict is not Verdict.VALID_PARITY_PROOF or symbol != _PENTAGRAM_SYMBOL:
         raise NotAPentagram(f"edges {rows} are {report.verdict} with symbol {symbol}")
-    return Pentagram(
-        tuple(o.point_id for o in report.occurrence_counts),
-        tuple(rows),
-        tuple(r.sign for r in report.contexts),
-    )
+    return Pentagram(tuple(rows), tuple(r.sign for r in report.contexts))
 
 
 def pentagram_to_pentad(space: Space, pentagram: Pentagram) -> Pentad:
@@ -450,9 +430,9 @@ def pentagram_to_pentad(space: Space, pentagram: Pentagram) -> Pentad:
 
     Inverts :func:`pentad_to_pentagram` and is checked by it: the pentad's
     own pentagram, read from ``Space.flags``, must equal the input up to the
-    order of the edges and of the points in an edge, signs and observables
-    included.  Edges that are not five sets of four point ids, or that do not
-    close into the planes of a pentad, are rejected before that.
+    order of the edges and of the points in an edge, signs included.  Edges
+    that are not five sets of four point ids, or that do not close into the
+    planes of a pentad, are rejected before that.
     """
     rows = [_items(edge) for edge in _items(pentagram.edges)]
     if len(rows) != 5 or any(
@@ -474,12 +454,8 @@ def pentagram_to_pentad(space: Space, pentagram: Pentagram) -> Pentad:
         raise NotAPentagram(f"edge closures {sorted(plane_ids)} do not form a Fano pentad")
     derived = pentad_to_pentagram(space, pentad)
     signs = _items(pentagram.edge_signs)
-    if (
-        len(signs) != 5
-        or sorted(zip(rows, signs)) != list(zip(derived.edges, derived.edge_signs))
-        or pentagram.observables != derived.observables
-    ):
-        raise NotAPentagram(f"signs or observables of {pentagram} contradict {pentad.planes}")
+    if len(signs) != 5 or sorted(zip(rows, signs)) != list(zip(derived.edges, derived.edge_signs)):
+        raise NotAPentagram(f"signs of {pentagram} contradict {pentad.planes}")
     return pentad
 
 

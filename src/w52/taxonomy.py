@@ -15,10 +15,11 @@ families keyed by negative-context count.  A pentad's id is its position in
 the canonical stream; the census numbers the pentads it is given in their
 order, and names each type's first as its example.
 
-Census ordinals are assigned by a canonical sort of the signatures and are
-not claimed to match the reference table's numbering; agreement with the
-published classification is established by comparing the multiset of
-8-parameter rows instead.
+A type's ordinal is its position in ``Census.records`` plus 1, the records
+being sorted canonically by signature.  The ordinals are not claimed to
+match the reference table's numbering; agreement with the published
+classification is established by comparing the multiset of 8-parameter
+rows instead.
 """
 
 from __future__ import annotations
@@ -103,21 +104,25 @@ class ConfigSignature(
         return (-self.negative_contexts, *self[1:])
 
 
-class TypeRecord(namedtuple("TypeRecord", "assigned_type signature multiplicity example_pentad")):
-    """One census type: ``assigned_type`` (int) is its ordinal from 1,
-    ``signature`` its :class:`ConfigSignature`, ``multiplicity`` (int) its
-    number of pentads and ``example_pentad`` (int) the id of its first pentad,
-    its position in the pentads classified."""
+class TypeRecord(namedtuple("TypeRecord", "signature multiplicity example_pentad")):
+    """One census type: ``signature`` is its :class:`ConfigSignature`,
+    ``multiplicity`` (int) its number of pentads and ``example_pentad`` (int)
+    the id of its first pentad, its position in the pentads classified.  A
+    type's ordinal is its position in ``Census.records`` plus 1."""
 
     __slots__ = ()
 
 
-class Census(namedtuple("Census", "records total")):
+class Census(namedtuple("Census", "records")):
     """The aggregated classification: ``records`` holds one
-    :class:`TypeRecord` per type, in canonical order, and ``total`` (int) is
-    the number of pentads classified."""
+    :class:`TypeRecord` per type, in canonical order."""
 
     __slots__ = ()
+
+    @property
+    def total(self) -> int:
+        """The number of pentads classified."""
+        return sum(r.multiplicity for r in self.records)
 
     @property
     def family_sizes(self) -> dict[int, int]:
@@ -128,15 +133,19 @@ class Census(namedtuple("Census", "records total")):
         return dict(sorted(sizes.items()))
 
 
-class TypeCountMismatch(RuntimeError):
+class TypeCountMismatch(TaxonomyViolation):
     """The signature grouping did not produce the expected 47 types.
 
-    Carries the offending census so callers can inspect witnesses.
+    Carries the offending census so callers can inspect witnesses; the
+    message names each type's example pentad and signature, one a line.
     """
 
     def __init__(self, census: Census):
+        witnesses = "".join(
+            f"\n  witness pentad {r.example_pentad}: {r.signature}" for r in census.records
+        )
         super().__init__(
-            f"classification produced {len(census.records)} types, expected 47"
+            f"classification produced {len(census.records)} types, expected 47{witnesses}"
         )
         self.census = census
 
@@ -205,8 +214,8 @@ def classify_census(space: Space, pentads: Iterable[Pentad]) -> Census:
         sig = ConfigSignature(f[0], f[1] // 2, f[2] // 2, f[3] // 2, *f[4:8], pent_sig)
         signed.append((sig, count, example))
     signed.sort(key=lambda item: item[0].sort_key)
-    records = tuple(TypeRecord(i + 1, *item) for i, item in enumerate(signed))
-    census = Census(records, sum(r.multiplicity for r in records))
+    records = tuple(map(TypeRecord._make, signed))
+    census = Census(records)
     if len(records) != 47:
         raise TypeCountMismatch(census)
     if census.total != _PENTAD_COUNT:
@@ -358,10 +367,10 @@ def _row_violations(row: tuple[int, int, int, int, int, int, int, int]) -> list[
     return broken
 
 
-class LawViolation(namedtuple("LawViolation", "law description row example_pentad")):
-    """A census row breaking a structural law: ``law`` (str) is the key in
-    :data:`LAW_DESCRIPTIONS` and ``description`` (str) its text, ``row`` the
-    type's eight ints and ``example_pentad`` (int) the type's example."""
+class LawViolation(namedtuple("LawViolation", "law row example_pentad")):
+    """A census row breaking a structural law: ``law`` (str) is the key of
+    its text in :data:`LAW_DESCRIPTIONS`, ``row`` the type's eight ints and
+    ``example_pentad`` (int) the type's example."""
 
     __slots__ = ()
 
@@ -396,7 +405,5 @@ def structural_laws(census: Census) -> LawReport:
     for record in census.records:
         row = record.signature.table_row
         for law in _row_violations(row):
-            violations.append(
-                LawViolation(law, LAW_DESCRIPTIONS[law], row, record.example_pentad)
-            )
+            violations.append(LawViolation(law, row, record.example_pentad))
     return LawReport(tuple(violations))

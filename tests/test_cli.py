@@ -359,7 +359,9 @@ class TestCensusPipeline:
         assert main([command]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"classification produced {len(partial.records)} types")
+        assert captured.err.startswith(
+            f"error: classification produced {len(partial.records)} types, expected 47\n"
+        )
         witnesses = captured.err.splitlines()[1:]
         assert len(witnesses) == len(partial.records)
         assert all(line.startswith("  witness pentad ") for line in witnesses)

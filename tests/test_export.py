@@ -76,11 +76,11 @@ def test_exports_match_sets_built_from_the_planes_for_every_pentad(space, pentad
     # nor the tallies the writers read are used here.
     negative = {line.points: dense_sign(line.points) < 0 for line in space.lines}
     flags = {}
-    for plane in space.planes:
+    for plane_id, plane in enumerate(space.planes):
         for line_id in plane.lines:
             edge = affine_part(plane, space.lines[line_id])
             six = [space.lines[lid].points for lid in plane.lines if lid != line_id]
-            flags[plane.plane_id, line_id] = (
+            flags[plane_id, line_id] = (
                 (edge, words([edge])[0]),
                 dense_sign(edge) < 0,
                 list(zip(six, words(six))),

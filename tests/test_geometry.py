@@ -73,9 +73,9 @@ class TestLines:
 
     def test_pair_lines_name_the_line_through_two_points(self, space):
         expected = {}
-        for line in space.lines:
+        for line_id, line in enumerate(space.lines):
             for p, q in itertools.permutations(_mask_points(line.mask), 2):
-                expected[p, q] = line.line_id
+                expected[p, q] = line_id
         assert len(expected) == 315 * 6
         assert len(space.pair_lines) == 64
         for p, row in enumerate(space.pair_lines):
@@ -200,7 +200,7 @@ class TestAffinePart:
         # also checks every flag of space.flags against routes that share
         # no code with it: affine_part, the dense oracle and direct counts
         assert len(space.flags) == 945
-        for plane in space.planes:
+        for plane_id, plane in enumerate(space.planes):
             negative = [lid for lid in plane.lines if space.lines[lid].sign < 0]
             for lid in plane.lines:
                 line = space.lines[lid]
@@ -210,7 +210,7 @@ class TestAffinePart:
                 for p in quad:
                     x ^= p
                 assert x == 0
-                flag = space.flags[plane.plane_id, lid]
+                flag = space.flags[plane_id, lid]
                 assert flag.affine == quad
                 assert flag.sign == dense_sign(quad) == plane.sign * line.sign
                 assert flag.negative_lines == sum(1 for n in negative if n != lid)
@@ -222,7 +222,7 @@ class TestAffinePart:
     def test_line_not_in_plane(self, space):
         plane = space.planes[0]
         outside = next(
-            line for line in space.lines if line.line_id not in plane.lines
+            line for line_id, line in enumerate(space.lines) if line_id not in plane.lines
         )
         with pytest.raises(LineNotInPlane):
             affine_part(plane, outside)
@@ -307,12 +307,12 @@ class TestPlaneClasses:
     def test_a_line_with_the_wrong_sign_fails_its_first_plane(self, space, first, message):
         # a flipped line changes its three planes' negative lines by one; the
         # lowest of them is classified first and must refuse it
-        line = next(
-            line for line in space.lines
-            if space.planes[space.planes_on_line(line.line_id)[0]].plane_class is first
+        line_id = next(
+            line_id for line_id in range(315)
+            if space.planes[space.planes_on_line(line_id)[0]].plane_class is first
         )
         lines = list(space.lines)
-        lines[line.line_id] = line._replace(sign=-line.sign)
+        lines[line_id] = lines[line_id]._replace(sign=-lines[line_id].sign)
         with pytest.raises(TaxonomyViolation, match=message):
             enumerate_planes(lines, space.pair_lines)
 
@@ -332,19 +332,19 @@ class TestPlaneClasses:
 
 class TestIncidence:
     def test_line_in_plane_consistency(self, space):
-        for plane in space.planes:
+        for plane_id, plane in enumerate(space.planes):
             for lid in plane.lines:
-                assert plane.plane_id in space.planes_on_line(lid)
+                assert plane_id in space.planes_on_line(lid)
         for lid in range(315):
             for pid in space.planes_on_line(lid):
                 assert lid in space.planes[pid].lines
 
     def test_line_id_of_names_every_line(self, space):
-        for line in space.lines:
+        for line_id, line in enumerate(space.lines):
             a, b, c = line.points
-            assert space.line_id_of((c, a, b)) == line.line_id
+            assert space.line_id_of((c, a, b)) == line_id
             # a repeated point collapses, as in the point set it names
-            assert space.line_id_of((a, b, c, a)) == line.line_id
+            assert space.line_id_of((a, b, c, a)) == line_id
         observables = [O("XII"), O("IXI"), O("XXI")]
         found = space.lines[space.line_id_of(observables)]
         assert found.points == tuple(sorted(o.point_id for o in observables))

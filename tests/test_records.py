@@ -1,5 +1,6 @@
-"""The package's record types: immutable, validated on construction, and a
-pentad a plain record of its planes, meets and distinguished lines."""
+"""The package's record types: immutable, validated on construction, and
+storing only what they cannot derive; a pentad a plain record of its planes,
+meets and distinguished lines."""
 
 import copy
 import pickle
@@ -17,6 +18,38 @@ from w52.taxonomy import (
     structural_laws,
     table1_fixture,
 )
+
+# the stored fields of every record type; an id that is a position, or a
+# copy of something the record can compute, is not among them
+FIELDS = {
+    "Observable": ("point_id",),
+    "Line": ("points", "sign"),
+    "Plane": ("points", "lines", "sign", "b_line", "plane_class"),
+    "Pentad": ("planes", "meet_points", "distinguished_lines"),
+    "Pentagram": ("edges", "edge_signs"),
+    "ContextualConfig": ("contexts", "context_signs"),
+    "ContextSet": ("contexts",),
+    "ContextReport": ("observables", "commuting", "closed", "sign"),
+    "ProofReport": (
+        "contexts", "occurrence_counts", "negative_count", "all_even", "odd_negative", "verdict"
+    ),
+    "WASymbol": ("point_part", "context_part"),
+    "PentagramSignature": ("negative_edges", "obs_a", "obs_b", "obs_c", "a_on_negative"),
+    "ConfigSignature": (
+        "negative_contexts", "obs_a", "obs_b", "obs_c",
+        "neg_planes", "planes_a", "planes_b", "planes_c", "pentagram",
+    ),
+    "TypeRecord": ("signature", "multiplicity", "example_pentad"),
+    "Census": ("records",),
+    "Table1Diff": ("missing", "unexpected"),
+    "LawViolation": ("law", "row", "example_pentad"),
+    "LawReport": ("violations",),
+    "Flag": ("affine", "sign", "negative_lines", "lines"),
+    "Table1Row": (
+        "type_id", "negative_contexts", "obs_a", "obs_b", "obs_c",
+        "neg_planes", "planes_a", "planes_b", "planes_c", "pentagram_type",
+    ),
+}
 
 # a valid signature of each kind, as keyword arguments
 PENTAGRAM_FIELDS = dict(negative_edges=3, obs_a=2, obs_b=5, obs_c=3, a_on_negative=1)
@@ -48,7 +81,7 @@ def one_of_each(space, pentads, census):
         record,
         census,
         compare_with_table1(census),
-        LawViolation("L1", "description", (9, 1, 11, 13, 3, 1, 1, 0), 0),
+        LawViolation("L1", (9, 1, 11, 13, 3, 1, 1, 0), 0),
         structural_laws(census),
     ]
 
@@ -62,6 +95,23 @@ def test_every_record_is_immutable(space, pentads, census):
                 setattr(record, name, getattr(record, name))
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+def test_every_record_stores_only_its_pinned_fields(space, pentads, census):
+    flag = next(iter(space.flags.values()))
+    records = one_of_each(space, pentads, census) + [flag, table1_fixture()[0]]
+    assert {type(r).__name__: r._fields for r in records} == FIELDS
+    # a pentad's plane queries are the space's tables, not methods of its own
+    assert [name for name, value in vars(Pentad).items() if callable(value)] == []
+
+
+def test_derived_observables_match_the_pentads(space, pentads, pentagrams, configs):
+    # the routes the observables took when they were stored: the pentad's ten
+    # meets, and the points of its five planes
+    for pentad, pentagram, config in zip(pentads, pentagrams, configs):
+        assert pentagram.observables == tuple(sorted(pentad.meet_points))
+        planes = {p for plane_id in pentad.planes for p in space.planes[plane_id].points}
+        assert config.observables == tuple(sorted(planes))
 
 
 def test_every_record_survives_pickle_and_copy(space, pentads, census):

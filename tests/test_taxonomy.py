@@ -128,7 +128,6 @@ class TestCensus:
     def test_ordinals_are_canonical(self, census):
         keys = [r.signature.sort_key for r in census.records]
         assert keys == sorted(keys)
-        assert [r.assigned_type for r in census.records] == list(range(1, 48))
 
     def test_deterministic(self, space, pentads, census):
         assert classify_census(space, pentads) == census
@@ -157,7 +156,7 @@ class TestCensus:
         # signature and multiplicity, and its example is its last pentad,
         # numbered from the end
         backwards = classify_census(space, reversed(pentads))
-        assert [r[:3] for r in backwards.records] == [r[:3] for r in census.records]
+        assert [r[:2] for r in backwards.records] == [r[:2] for r in census.records]
         assert backwards.total == census.total
         assert {r.signature: r.example_pentad for r in backwards.records} == {
             sig: len(pentads) - 1 - pentad_id for sig, pentad_id in last.items()
@@ -182,7 +181,7 @@ class TestTable1Comparison:
         assert diff.render() == "census matches all 47 reference rows"
 
     def test_removing_a_record_is_detected(self, census):
-        truncated = Census(census.records[1:], census.total)
+        truncated = Census(census.records[1:])
         diff = compare_with_table1(truncated)
         assert not diff.ok
         assert diff.missing == ((census.records[0].signature.table_row, 1),)
