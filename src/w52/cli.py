@@ -18,7 +18,7 @@ from itertools import islice
 from . import export
 from .contextuality import Verdict, analyze, wa_symbol
 from .geometry import Space, TaxonomyViolation
-from .pauli import OBSERVABLES, PauliError
+from .pauli import WORDS, PauliError
 from .pentads import _search, pentad_to_config, pentad_to_pentagram
 from .taxonomy import _PENTAD_COUNT, classify_census, compare_with_table1, structural_laws
 
@@ -124,7 +124,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _render_word(point_id: int, coords: bool) -> str:
-    word = OBSERVABLES[point_id - 1].word
+    word = WORDS[point_id - 1]
     return f"{word}({export._coords(point_id)})" if coords else word
 
 

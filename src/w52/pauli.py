@@ -9,9 +9,11 @@ The vector is packed into a single integer ``point_id`` in 1..63 with x1 as
 the most significant bit; that integer doubles as the canonical total order
 on observables, and XOR of ids is multiplication up to phase.
 
-Phases are tracked exactly as integer exponents of i (mod 4) via per-factor
-lookup tables, and words are looked up in ``WORDS``, a table built once at
-import from the bit layout.
+Phases are tracked exactly as integer exponents of i (mod 4).  Each table --
+the phase of every ordered product, the commutation masks, the A/B/C types
+and the words in ``WORDS`` -- is one closed form in the bits of the ids,
+built once at import: the word of an id is i^y X^x Z^z, with y its number
+of Y factors, so a product's phase needs no per-letter table.
 
 Only the three-qubit case is built and exposed; the tables are hardwired to
 three factor slots.
@@ -192,71 +194,49 @@ def format_observable(observable: Observable) -> str:
 # bit-level engine
 #
 # A point id carries the z bits (x1,x2,x3) in positions 5..3 and the x bits
-# (x4,x5,x6) in positions 2..0.  All heavy enumeration works on these ints;
-# the tables below are built once at import (64 x 64 entries).
+# (x4,x5,x6) in positions 2..0, so ``p >> 3`` is its z part and ``p & 7`` its
+# x part.  All heavy enumeration works on these ints; each table below is one
+# closed form in those bits, built once at import (64 x 64 entries).
 
-def _slot_letters(pid: int) -> tuple[int, int, int]:
-    """Per-factor letter codes z<<1|x: I=0, X=1, Z=2, Y=3."""
-    return (
-        (((pid >> 5) & 1) << 1) | ((pid >> 2) & 1),
-        (((pid >> 4) & 1) << 1) | ((pid >> 1) & 1),
-        (((pid >> 3) & 1) << 1) | (pid & 1),
-    )
-
-
-def _build_single_phase() -> list[list[int]]:
-    # i-exponent of the product of two letters: X.Y = iZ, Y.Z = iX, Z.X = iY,
-    # reversed order negates, I and equal letters contribute nothing.
-    table = [[0] * 4 for _ in range(4)]
-    forward = {(1, 3), (3, 2), (2, 1)}  # (X,Y), (Y,Z), (Z,X)
-    for a in range(1, 4):
-        for b in range(1, 4):
-            if a != b:
-                table[a][b] = 1 if (a, b) in forward else 3
-    return table
-
-
-_SINGLE_PHASE = _build_single_phase()
-
-#: WORDS[pid - 1] is the Pauli word of point id pid, read off the bit layout
-#: through the letter codes of :func:`_slot_letters`.
+#: WORDS[pid - 1] is the Pauli word of point id pid: factor j is
+#: "IXZY"[z_j << 1 | x_j], where z_j is bit 5 - j and x_j bit 2 - j, so
+#: z_j << 1 is pid >> 4 - j & 2.
 WORDS: tuple[str, ...] = tuple(
-    "".join("IXZY"[code] for code in _slot_letters(pid)) for pid in range(1, 64)
+    "".join(["IXZY"[pid >> 4 - j & 2 | pid >> 2 - j & 1] for j in range(3)])
+    for pid in range(1, 64)
 )
 
-
-def _build_tables() -> tuple[list[list[int]], list[int], list[ObservableType | None]]:
-    phase = [[0] * 64 for _ in range(64)]
-    commute = [0] * 64
-    types: list[ObservableType | None] = [None] * 64
-    slots = [_slot_letters(pid) for pid in range(64)]
-    for a in range(64):
-        sa = slots[a]
-        row = phase[a]
-        for b in range(64):
-            sb = slots[b]
-            row[b] = (
-                _SINGLE_PHASE[sa[0]][sb[0]]
-                + _SINGLE_PHASE[sa[1]][sb[1]]
-                + _SINGLE_PHASE[sa[2]][sb[2]]
-            ) & 3
-    for a in range(64):
-        mask = 0
-        for b in range(64):
-            # the pair anticommutes iff the two one-sided phases differ by 2
-            if (phase[a][b] - phase[b][a]) & 3 == 0:
-                mask |= 1 << b
-        commute[a] = mask
-        identities = slots[a].count(0)
-        if a:
-            types[a] = (ObservableType.A, ObservableType.B, ObservableType.C)[2 - identities]
-    return phase, commute, types
-
+# A factor is Y exactly when its z and x bits are both set, so the number of
+# Y factors of p is y(p) = |z ∧ x|; its parity is the quadratic form
+# Q_0(x) = Σ_j x_j x_{j+3}.
+_Y_COUNT = [(p >> 3 & p).bit_count() for p in range(64)]
 
 #: PHASE[a][b] is the i-exponent k with  a . b = i^k (a XOR b), ids 0..63.
-#: COMMUTE_MASK[a] has bit b set iff a and b commute.
-#: TYPE_OF[pid] is the A/B/C class of a point id (None for 0).
-PHASE, COMMUTE_MASK, TYPE_OF = _build_tables()
+# Y = iXZ, so the word of p is i^y(p) X^x Z^z.  In a . b, moving Z^z_a past
+# X^x_b gives one -1 = i^2 per qubit where both are set, and the product
+# X^(x_a ^ x_b) Z^(z_a ^ z_b) is i^-y(a ^ b) times the word of a ^ b; hence
+# k = y(a) + y(b) + 2 |z_a ∧ x_b| - y(a ^ b)  (mod 4).
+# (y(a) and z_a are read once per row.)
+PHASE: list[list[int]] = [
+    [(ya + _Y_COUNT[b] + 2 * (za & b).bit_count() - _Y_COUNT[a ^ b]) & 3 for b in range(64)]
+    for a in range(64)
+    for ya, za in [(_Y_COUNT[a], a >> 3)]
+]
+
+#: COMMUTE_MASK[a] has bit b set iff a and b commute: b . a = i^(PHASE[b][a]
+#: - PHASE[a][b]) a . b, and the two phases differ by 0 or 2, so the pair
+#: commutes iff they are equal.
+COMMUTE_MASK: list[int] = [
+    sum(1 << b for b, k in enumerate(row) if k == PHASE[b][a]) for a, row in enumerate(PHASE)
+]
+
+#: TYPE_OF[pid] is the A/B/C class of a point id (None for 0): factor j is
+#: not I iff z_j or x_j is set, so ((p >> 3 | p) & 7).bit_count() counts the
+#: non-identity factors, 1, 2 or 3 for A, B or C.
+TYPE_OF: list[ObservableType | None] = [None] + [
+    (ObservableType.A, ObservableType.B, ObservableType.C)[((p >> 3 | p) & 7).bit_count() - 1]
+    for p in range(1, 64)
+]
 
 
 def _fold(ids: Iterable[int]) -> tuple[bool, int, int]:

@@ -62,8 +62,9 @@ def dense_matrix(point_id: int) -> np.ndarray:
 
 
 # entries of Pauli words are 0, +-1, +-i: exactly representable, so matrix
-# equality below is exact, no tolerances involved
-DENSE = [None] + [dense_matrix(pid) for pid in range(1, 64)]
+# equality below is exact, no tolerances involved; DENSE[0], from the all-zero
+# coordinates, is the identity, so the oracle covers every id the tables index
+DENSE = [dense_matrix(pid) for pid in range(64)]
 
 
 def dense_commutes(a: int, b: int) -> bool:

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from w52.pauli import (
     BadLength,
+    COMMUTE_MASK,
     DuplicateObservable,
     IdentityExcluded,
     InvalidLetter,
@@ -22,7 +23,9 @@ from w52.pauli import (
     OBSERVABLES,
     Observable,
     ObservableType,
+    PHASE,
     PauliError,
+    TYPE_OF,
     WORDS,
     commutes,
     context_sign,
@@ -191,9 +194,15 @@ class TestSymplecticForm:
         assert left == (symplectic_form(a, c) + symplectic_form(b, c)) % 2
 
     def test_matches_dense_commutation_on_all_pairs(self):
-        # all 1953 unordered pairs
-        for a, b in itertools.combinations(range(1, 64), 2):
-            assert commutes(from_point_id(a), from_point_id(b)) == dense_commutes(a, b)
+        # every bit of the table, ids 0 and a == b included: bit 0 is set in
+        # every row, as enumerate_planes assumes of the identity
+        for a in range(64):
+            assert COMMUTE_MASK[a] & 1
+            for b in range(64):
+                dense = dense_commutes(a, b)
+                assert COMMUTE_MASK[a] >> b & 1 == dense, (a, b)
+                if a and b:
+                    assert commutes(from_point_id(a), from_point_id(b)) == dense, (a, b)
 
 
 class TestObservableType:
@@ -203,6 +212,18 @@ class TestObservableType:
     )
     def test_examples(self, word, expected):
         assert observable_type(O(word)) is expected
+
+    def test_type_counts_identity_factors_at_every_id(self):
+        # qubit j is I when its bit pair (x_j, x_{j+3}) is (0, 0), read off the
+        # id as conftest.dense_matrix reads it; id 0 has no type
+        assert TYPE_OF[0] is None
+        by_identities = {2: ObservableType.A, 1: ObservableType.B, 0: ObservableType.C}
+        for pid in range(1, 64):
+            identities = sum(
+                ((pid >> (5 - j)) & 1, (pid >> (2 - j)) & 1) == (0, 0) for j in range(3)
+            )
+            assert TYPE_OF[pid] is by_identities[identities], pid
+            assert observable_type(from_point_id(pid)) is TYPE_OF[pid]
 
     def test_census_9_27_27(self):
         counts = {t: 0 for t in ObservableType}
@@ -227,12 +248,17 @@ class TestMultiply:
         assert np.array_equal(dense, -DENSE[O("ZZI").point_id])
 
     def test_agrees_with_dense_oracle_on_all_ordered_pairs(self):
-        for a in range(1, 64):
-            for b in range(1, 64):
-                k, product = multiply(from_point_id(a), from_point_id(b))
+        # the phase table at every id, 0 included: row and column 0, the
+        # identity's, must be all 0, since _fold starts from xor = 0
+        assert PHASE[0] == [row[0] for row in PHASE] == [0] * 64
+        for a in range(64):
+            for b in range(64):
                 expected = DENSE[a] @ DENSE[b]
-                target = IDENTITY8 if product is None else DENSE[product.point_id]
-                assert np.array_equal(expected, (1j**k) * target), (a, b)
+                assert np.array_equal(expected, (1j ** PHASE[a][b]) * DENSE[a ^ b]), (a, b)
+                if a and b:
+                    k, product = multiply(from_point_id(a), from_point_id(b))
+                    target = IDENTITY8 if product is None else DENSE[product.point_id]
+                    assert np.array_equal(expected, (1j**k) * target), (a, b)
 
     def test_reversal_phase_is_sign_of_commutator(self):
         for a in range(1, 64):
